@@ -8,13 +8,11 @@ tilted-walk and small-deviation machinery.
 """
 
 from .analysis import (CgfEvaluator, CriticalProfile, aldous_rate, beta_bs,
-                       beta_bs_from_gamma_derivative, gamma_bs_solve, psi_eval,
-                       solve_tstar)
+                       beta_bs_from_gamma_derivative, gamma_bs_solve, solve_tstar)
 from .errors import (CertificationError, DomainTooNarrow, GridExhausted,
                      LatticeError, LawValidationError, NoCriticalPoint)
 from .models import (BinaryBernoulli, DiscreteFinite, ExplicitFinite, Gaussian,
-                     OffspringLaw, ProductLaw, Realization, StepLaw,
-                     sample_offspring, validate)
+                     OffspringLaw, ProductLaw, StepLaw, validate)
 from .mogulskii import (ArraySpec, CorridorSpec, brownian_corridor_mc,
                         corridor_constant, ito_mckean_f, triangular_experiment)
 from .oracle import LatticeLaw, exact_corridor_walk, exact_path_survival, rho_limit
@@ -28,8 +26,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinaryBernoulli", "ProductLaw", "ExplicitFinite", "DiscreteFinite", "Gaussian",
-    "OffspringLaw", "StepLaw", "Realization", "validate", "sample_offspring",
-    "CgfEvaluator", "CriticalProfile", "psi_eval", "solve_tstar", "gamma_bs_solve",
+    "OffspringLaw", "StepLaw", "validate",
+    "CgfEvaluator", "CriticalProfile", "solve_tstar", "gamma_bs_solve",
     "beta_bs", "beta_bs_from_gamma_derivative", "aldous_rate",
     "VLaw", "make_vlaw", "barrier_map",
     "SpineLaw", "make_spine", "sample_spine_path", "sample_spine_paths",

@@ -20,8 +20,6 @@ from .errors import DomainTooNarrow, NoCriticalPoint
 from .models import BinaryBernoulli, Gaussian, OffspringLaw, ProductLaw
 
 H_TOL = 1e-12          # residual bound on t*psi'(t*) - psi(t*)
-FD_STEP_1 = 1e-5       # step for first-derivative cross checks
-FD_STEP_2 = 1e-4       # step for second-derivative cross checks
 _T_BRACKET_CAP = 1e12
 
 
@@ -32,12 +30,11 @@ class CgfEvaluator:
     intensity, evaluated with exponent shifting so large tilts do not
     overflow; psi' and psi'' are the mean and variance of the tilted
     displacement.  Gaussian-step product laws use the Gaussian closed form.
-    The domain bound zeta is infinite for every supported family.
+    Every supported family has psi finite for all real t.
     """
 
     def __init__(self, law: OffspringLaw):
         self.law = law
-        self.zeta = math.inf
         atoms = models.intensity_atoms(law)
         if atoms is None:
             assert isinstance(law, ProductLaw) and isinstance(law.step, Gaussian)
@@ -50,9 +47,7 @@ class CgfEvaluator:
             self._logw = np.log(weights)
 
     def evaluate(self, t: float) -> tuple[float, float, float]:
-        """Return (psi, psi', psi'') at tilt t; requires t < zeta."""
-        if t >= self.zeta:
-            raise DomainTooNarrow(f"t={t} is outside the domain (0, {self.zeta})")
+        """Return (psi, psi', psi'') at tilt t."""
         if self._gauss is not None:
             logm, mu, sd = self._gauss
             return logm + mu * t + 0.5 * (sd * t) ** 2, mu + sd * sd * t, sd * sd
@@ -64,11 +59,6 @@ class CgfEvaluator:
         mean = float(np.dot(w, self._values))
         var = float(np.dot(w, (self._values - mean) ** 2))
         return mx + math.log(s), mean, var
-
-
-def psi_eval(ev: CgfEvaluator, t: float) -> tuple[float, float, float]:
-    """(psi, psi', psi'') at tilt t."""
-    return ev.evaluate(t)
 
 
 @dataclass(frozen=True)
@@ -114,7 +104,7 @@ def _solve_h_root(ev: CgfEvaluator) -> float:
     hi = 1e-6
     while h(hi)[0] <= 0.0:
         hi *= 2.0
-        if hi > min(ev.zeta, _T_BRACKET_CAP):
+        if hi > _T_BRACKET_CAP:
             raise DomainTooNarrow("bracketing for t* hit the domain bound")
     t = 0.5 * (lo + hi)
     for _ in range(200):
@@ -207,7 +197,7 @@ def aldous_rate(p0: float) -> float:
 
 
 __all__ = [
-    "CgfEvaluator", "CriticalProfile", "psi_eval", "solve_tstar",
+    "CgfEvaluator", "CriticalProfile", "solve_tstar",
     "gamma_bs_solve", "beta_bs", "beta_bs_from_gamma_derivative",
-    "aldous_rate", "central_difference", "H_TOL", "FD_STEP_1", "FD_STEP_2",
+    "aldous_rate", "central_difference", "H_TOL",
 ]

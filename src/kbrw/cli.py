@@ -182,6 +182,14 @@ def law_from_config(obj: dict) -> OffspringLaw:
     return ExplicitFinite(tuple((tuple(ds), p) for ds, p in obj["outcomes"]))
 
 
+def _certified_vlaw(law: OffspringLaw) -> transform.VLaw:
+    """Validate the law, solve its critical profile and certify the centering.
+
+    Failures raise; ``main`` maps them to exit codes.
+    """
+    return transform.make_vlaw(law, solve_tstar(law))
+
+
 def _boundary_from_config(obj: dict):
     if obj["type"] == "affine":
         a, b = obj["intercept"], obj.get("slope", 0.0)
@@ -248,12 +256,8 @@ def cmd_analyze(config: dict, out_path: str | None) -> int:
         for v in report.violations:
             print(f"validation failure: {v}", file=sys.stderr)
         return EXIT_VALIDATION
-    try:
-        profile = solve_tstar(law)
-    except NoCriticalPoint as exc:
-        print(f"no critical tilt: {exc}", file=sys.stderr)
-        return EXIT_NO_CRITICAL_POINT
-    vlaw = transform.make_vlaw(law, profile)
+    vlaw = _certified_vlaw(law)
+    profile = vlaw.profile
     rows = [
         ("mean_children", report.mean_children),
         ("t_star", profile.t_star),
@@ -314,17 +318,7 @@ def _survival_task(task: dict) -> dict:
 
 def cmd_survival(config: dict, out_path: str | None, threads: int) -> int:
     law = law_from_config(config["law"])
-    report = models.validate(law)
-    if not report.ok:
-        for v in report.violations:
-            print(f"validation failure: {v}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        profile = solve_tstar(law)
-    except NoCriticalPoint as exc:
-        print(f"no critical tilt: {exc}", file=sys.stderr)
-        return EXIT_NO_CRITICAL_POINT
-    vlaw = transform.make_vlaw(law, profile)
+    vlaw = _certified_vlaw(law)
     coordinate = config.get("coordinate", "V")
     escape_cap = config.get("escape_cap", 10_000)
     if escape_cap is None:
@@ -379,12 +373,7 @@ def cmd_pemantle(config: dict, out_path: str | None, threads: int) -> int:
     if not isinstance(law, BinaryBernoulli):
         print("pemantle command needs a binary_bernoulli law", file=sys.stderr)
         return EXIT_VALIDATION
-    try:
-        profile = solve_tstar(law)
-    except NoCriticalPoint as exc:
-        # for this family the diagnosis is exactly p >= 1/2
-        print(f"no critical tilt (requires p < 1/2): {exc}", file=sys.stderr)
-        return EXIT_NO_CRITICAL_POINT
+    profile = solve_tstar(law)
     ll = oracle.LatticeLaw.from_law(law)
     beta = beta_bs(law.p)
     tasks = [{"ll": ll, "profile": profile, "eps_u": e,
@@ -394,11 +383,7 @@ def cmd_pemantle(config: dict, out_path: str | None, threads: int) -> int:
              for e in config["eps_grid"]]
     budget = config.get("time_budget_s")
     started = time.perf_counter()
-    try:
-        rows = _run_rows(tasks, _pemantle_task, threads)
-    except GridExhausted as exc:
-        print(f"depth iteration failed: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    rows = _run_rows(tasks, _pemantle_task, threads)
     if budget is not None and time.perf_counter() - started > budget:
         print("runtime budget exceeded", file=sys.stderr)
         return EXIT_BUDGET
@@ -434,13 +419,7 @@ def cmd_mogulskii(config: dict, out_path: str | None) -> int:
         if "law" not in config:
             print("spine family needs a 'law' entry in the config", file=sys.stderr)
             return EXIT_VALIDATION
-        law = law_from_config(config["law"])
-        try:
-            profile = solve_tstar(law)
-        except NoCriticalPoint as exc:
-            print(f"no critical tilt: {exc}", file=sys.stderr)
-            return EXIT_NO_CRITICAL_POINT
-        vlaw = transform.make_vlaw(law, profile)
+        vlaw = _certified_vlaw(law_from_config(config["law"]))
         arr = mogulskii.ArraySpec.from_spine(spine.make_spine(vlaw),
                                              condition_nu=fam.get("condition_nu", True))
     endpoint_b = config.get("endpoint_b")
@@ -511,6 +490,9 @@ def main(argv: list[str] | None = None) -> int:
     except NoCriticalPoint as exc:
         print(f"no critical tilt: {exc}", file=sys.stderr)
         return EXIT_NO_CRITICAL_POINT
+    except GridExhausted as exc:
+        print(f"grid exhausted: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import LawValidationError
-from .rng import replicate_stream
 
 PROB_TOL = 1e-12
 LATTICE_TOL = 1e-9
@@ -118,16 +117,6 @@ class ExplicitFinite:
 
 
 OffspringLaw = BinaryBernoulli | ProductLaw | ExplicitFinite
-
-
-@dataclass(frozen=True)
-class Realization:
-    """One brood: the displacement of each child (may be empty)."""
-
-    displacements: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.displacements)
 
 
 # ---------------------------------------------------------------------------
@@ -311,17 +300,10 @@ def sample_broods(law: OffspringLaw, count: int, rng: np.random.Generator
     return counts, t["flat"][pos]
 
 
-def sample_offspring(law: OffspringLaw, rng: np.random.Generator) -> Realization:
-    """Draw one brood exactly from the law."""
-    _, flat = sample_broods(law, 1, rng)
-    return Realization(tuple(flat.tolist()))
-
-
 __all__ = [
     "BinaryBernoulli", "ProductLaw", "ExplicitFinite", "DiscreteFinite", "Gaussian",
-    "OffspringLaw", "StepLaw", "Realization", "ValidationReport",
+    "OffspringLaw", "StepLaw", "ValidationReport",
     "offspring_pmf", "mean_children", "second_moment_children", "step_law",
     "intensity_atoms", "is_lattice", "mean_exp_sum",
-    "validate", "require_valid", "sample_broods", "sample_offspring",
-    "replicate_stream",
+    "validate", "require_valid", "sample_broods",
 ]

@@ -18,13 +18,17 @@ import numpy as np
 
 from . import oracle
 from .models import DiscreteFinite
-from .rng import replicate_stream
 from .spine import SpineLaw
+from .stats import chunked_mean
 
 QUAD_TOL = 1e-10        # absolute tolerance of the corridor-constant integral
 SERIES_TOL = 1e-14      # series truncation for the strip probability
 N_SAMPLES = 1024        # boundary functions stored as dense samples
 _EDGE_NUDGE = 1e-9      # snaps near-integer lattice bounds inclusively
+# paths per random stream in the two Monte Carlo estimators; changing either
+# changes which stream a path reads, and so every estimate
+_BM_CHUNK = 20_000
+_MC_CHUNK = 65_536
 
 
 @dataclass(frozen=True)
@@ -120,7 +124,7 @@ def ito_mckean_f(a: float, b: float, c: float, d: float) -> float:
 
 def brownian_corridor_mc(a: float, b: float, c: float, d: float,
                          paths: int = 1_000_000, steps: int = 10_000,
-                         seed: int = 0, chunk: int = 20_000) -> tuple[float, float]:
+                         seed: int = 0) -> tuple[float, float]:
     """Monte Carlo oracle for the strip probability, with bridge correction.
 
     Pure discrete monitoring misses excursions between grid points and
@@ -131,13 +135,8 @@ def brownian_corridor_mc(a: float, b: float, c: float, d: float,
     """
     dt = 1.0 / steps
     sdt = math.sqrt(dt)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk_id = 0
-    while done < paths:
-        k = min(chunk, paths - done)
-        rng = replicate_stream(seed, chunk_id)
+
+    def draw(rng, k):
         x = np.zeros(k)
         w = np.ones(k)
         for _ in range(steps):
@@ -147,13 +146,9 @@ def brownian_corridor_mc(a: float, b: float, c: float, d: float,
             w *= (1.0 - pu) * (1.0 - pd)
             x = x1
         w *= (c <= x) & (x <= d)
-        total += float(w.sum())
-        total_sq += float(np.dot(w, w))
-        done += k
-        chunk_id += 1
-    mean = total / paths
-    var = max(total_sq / paths - mean * mean, 0.0) * paths / max(paths - 1, 1)
-    return mean, math.sqrt(var / paths)
+        return w
+
+    return chunked_mean(seed, paths, _BM_CHUNK, draw)
 
 
 # ---------------------------------------------------------------------------
@@ -276,54 +271,40 @@ def _lattice_corridor_prob(arr: ArraySpec, spec: CorridorSpec, n: int,
     i = np.arange(1, n + 1)
     lo_s = a * spec.g1(i / n)
     hi_s = a * spec.g2(i / n)
+    s_floor = None if endpoint_b is None else a * (float(spec.g2(1.0)) - endpoint_b)
     values, probs, _ = arr.step_pmf_at(n)
     if arr.kind == "lattice":
+        steps = values.astype(np.int64)
         lower = np.ceil(lo_s - _EDGE_NUDGE).astype(np.int64)
         upper = np.floor(hi_s + _EDGE_NUDGE).astype(np.int64)
-        endpoint = None
-        if endpoint_b is not None:
-            endpoint = (int(math.ceil(a * (float(spec.g2(1.0)) - endpoint_b) - _EDGE_NUDGE)),
-                        int(upper[-1]))
-        p = oracle.exact_corridor_walk(values.astype(np.int64), probs, lower, upper)
-        pe = (oracle.exact_corridor_walk(values.astype(np.int64), probs, lower, upper,
-                                         endpoint=endpoint)
-              if endpoint is not None else None)
-        return p, pe
-    sp = arr.spine
-    t_star, psi = sp.vlaw.t_star, sp.vlaw.psi_tstar
-    u = np.round((psi - values) / t_star).astype(np.int64)   # S = -t* u + psi per step
-    if np.max(np.abs((psi - values) / t_star - u)) > 1e-6:
-        raise ValueError("spine steps do not sit on an integer displacement lattice")
-    # S_i in [lo, hi]  <=>  T_i in [(i psi - hi)/t*, (i psi - lo)/t*]
-    lower_t = np.ceil((i * psi - hi_s) / t_star - _EDGE_NUDGE).astype(np.int64)
-    upper_t = np.floor((i * psi - lo_s) / t_star + _EDGE_NUDGE).astype(np.int64)
-    endpoint = None
-    if endpoint_b is not None:
-        s_floor = a * (float(spec.g2(1.0)) - endpoint_b)
-        endpoint = (int(lower_t[-1]),
-                    int(math.floor((n * psi - s_floor) / t_star + _EDGE_NUDGE)))
-    p = oracle.exact_corridor_walk(u, probs, lower_t, upper_t)
-    pe = (oracle.exact_corridor_walk(u, probs, lower_t, upper_t, endpoint=endpoint)
-          if endpoint is not None else None)
-    return p, pe
+        endpoint = (None if s_floor is None
+                    else (int(math.ceil(s_floor - _EDGE_NUDGE)), int(upper[-1])))
+    else:
+        sp = arr.spine
+        t_star, psi = sp.vlaw.t_star, sp.vlaw.psi_tstar
+        steps = np.round((psi - values) / t_star).astype(np.int64)  # S = -t* u + psi per step
+        if np.max(np.abs((psi - values) / t_star - steps)) > 1e-6:
+            raise ValueError("spine steps do not sit on an integer displacement lattice")
+        # S_i in [lo, hi]  <=>  T_i in [(i psi - hi)/t*, (i psi - lo)/t*]
+        lower = np.ceil((i * psi - hi_s) / t_star - _EDGE_NUDGE).astype(np.int64)
+        upper = np.floor((i * psi - lo_s) / t_star + _EDGE_NUDGE).astype(np.int64)
+        endpoint = (None if s_floor is None
+                    else (int(lower[-1]),
+                          int(math.floor((n * psi - s_floor) / t_star + _EDGE_NUDGE))))
+    return oracle.exact_corridor_walk(steps, probs, lower, upper, endpoint=endpoint)
 
 
 def _mc_corridor_prob(arr: ArraySpec, spec: CorridorSpec, n: int,
-                      endpoint_b: float | None, replicates: int, seed: int,
-                      chunk: int = 65_536):
+                      endpoint_b: float | None, replicates: int, seed: int):
     """Sampled corridor probability for families off the integer lattice."""
     a = arr.a_n(n)
     i = np.arange(1, n + 1)
     lo = a * spec.g1(i / n)
     hi = a * spec.g2(i / n)
     sp = arr.spine
-    hits = 0
-    hits_end = 0
-    done = 0
-    chunk_id = 0
-    while done < replicates:
-        k = min(chunk, replicates - done)
-        rng = replicate_stream(seed, chunk_id)
+    end_hits = []
+
+    def draw(rng, k):
         if sp is not None and sp.gauss_s is not None:
             ms, ss = sp.gauss_s
             s = np.cumsum(rng.normal(ms, ss, (k, n)), axis=1)
@@ -332,14 +313,15 @@ def _mc_corridor_prob(arr: ArraySpec, spec: CorridorSpec, n: int,
             idx = np.searchsorted(np.cumsum(probs), rng.random((k, n)), side="right")
             s = np.cumsum(values[idx], axis=1)
         ok = np.all((s >= lo) & (s <= hi), axis=1)
-        hits += int(ok.sum())
         if endpoint_b is not None:
             edge = a * (float(spec.g2(1.0)) - endpoint_b)
-            hits_end += int((ok & (s[:, -1] >= edge)).sum())
-        done += k
-        chunk_id += 1
-    p = hits / replicates
-    pe = hits_end / replicates if endpoint_b is not None else None
+            end_hits.append(int((ok & (s[:, -1] >= edge)).sum()))
+        return ok.astype(np.float64)
+
+    # hit counts are integers, so the running float sum is exact and the
+    # mean equals hits / replicates
+    p, _ = chunked_mean(seed, replicates, _MC_CHUNK, draw)
+    pe = sum(end_hits) / replicates if endpoint_b is not None else None
     return p, pe
 
 

@@ -144,12 +144,15 @@ def exact_path_survival(ll: LatticeLaw, n: int, *, v_slope: float | None = None,
 
 
 def exact_corridor_walk(step_values, step_probs, lower, upper,
-                        endpoint: tuple[int, int] | None = None) -> float:
+                        endpoint: tuple[int, int] | None = None
+                        ) -> tuple[float, float | None]:
     """P{an integer walk satisfies lower[i-1] <= S_i <= upper[i-1] for i <= n}.
 
     Bounds are inclusive; an empty corridor at some level gives probability
-    zero (not an error).  ``endpoint`` further restricts S_n to a window.
-    Forward DP over the occupation measure restricted to the corridor.
+    zero (not an error).  Forward DP over the occupation measure restricted
+    to the corridor.  Returns ``(prob, endpoint_prob)``: the second value
+    further restricts S_n to the window ``endpoint`` and is read off the
+    same pass, or is None when no window is given.
     """
     steps = np.asarray(step_values, dtype=np.int64)
     probs = np.asarray(step_probs, dtype=np.float64)
@@ -157,13 +160,14 @@ def exact_corridor_walk(step_values, step_probs, lower, upper,
     upper = np.asarray(upper, dtype=np.int64)
     if lower.shape != upper.shape:
         raise ValueError("corridor arrays must have equal length")
+    empty = (0.0, None if endpoint is None else 0.0)
     n = lower.size
     dist = np.ones(1)
     lo = hi = 0
     for i in range(n):
         nlo, nhi = int(lower[i]), int(upper[i])
         if nlo > nhi:
-            return 0.0
+            return empty
         new = np.zeros(nhi - nlo + 1)
         for y, qy in zip(steps, probs):
             # old states s contribute to s+y; keep the part landing inside
@@ -175,13 +179,14 @@ def exact_corridor_walk(step_values, step_probs, lower, upper,
                 qy * dist[src_lo - lo: src_hi - lo + 1]
         dist, lo, hi = new, nlo, nhi
         if not dist.any():
-            return 0.0
-    if endpoint is not None:
-        elo, ehi = max(int(endpoint[0]), lo), min(int(endpoint[1]), hi)
-        if elo > ehi:
-            return 0.0
-        return float(dist[elo - lo: ehi - lo + 1].sum())
-    return float(dist.sum())
+            return empty
+    prob = float(dist.sum())
+    if endpoint is None:
+        return prob, None
+    elo, ehi = max(int(endpoint[0]), lo), min(int(endpoint[1]), hi)
+    if elo > ehi:
+        return prob, 0.0
+    return prob, float(dist[elo - lo: ehi - lo + 1].sum())
 
 
 def rho_limit(ll: LatticeLaw, profile: CriticalProfile, v_slope: float,

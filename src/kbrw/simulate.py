@@ -94,6 +94,34 @@ class GwEmbedParams:
         return (1.0 - self.alpha) * self.eps * self.L >= self.M * (self.n - self.L) - 1e-12
 
 
+def _advance(vlaw: VLaw, v: np.ndarray, rng: np.random.Generator
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """One generation: every particle at ``v`` reproduces once.
+
+    Returns the children's positions in brood order and the brood sizes,
+    by which callers repeat any per-particle arrays they carry alongside.
+    """
+    counts, flat = models.sample_broods(vlaw.base, v.size, rng)
+    return np.repeat(v, counts) + vlaw.v_increment(flat), counts
+
+
+def _killed_population(vlaw: VLaw, v_slope: float, n: int, escape_cap: float,
+                       rng: np.random.Generator) -> tuple[np.ndarray, list[int]]:
+    """Advance the root under the kill line until depth n, extinction or the cap.
+
+    Returns the last live population and the population per generation.
+    """
+    v = np.zeros(1)
+    trace = [1]
+    for gen in range(1, n + 1):
+        if v.size == 0 or v.size >= escape_cap:
+            break
+        child_v, _ = _advance(vlaw, v, rng)
+        v = child_v[child_v <= v_slope * gen + BOUNDARY_TOL]
+        trace.append(v.size)
+    return v, trace
+
+
 def run_killed_brw(vlaw: VLaw, v_slope: float, n: int, escape_cap: float,
                    rng: np.random.Generator) -> tuple[bool, list[int]]:
     """One replicate of the killed walk; returns (survived, population trace).
@@ -108,21 +136,8 @@ def run_killed_brw(vlaw: VLaw, v_slope: float, n: int, escape_cap: float,
     """
     if not escape_cap >= 1:
         raise ValueError("escape_cap must be >= 1 (may be math.inf)")
-    base = vlaw.base
-    v = np.zeros(1)
-    trace = [1]
-    if 1 >= escape_cap:
-        return True, trace
-    for gen in range(1, n + 1):
-        counts, flat = models.sample_broods(base, v.size, rng)
-        child_v = np.repeat(v, counts) + vlaw.v_increment(flat)
-        v = child_v[child_v <= v_slope * gen + BOUNDARY_TOL]
-        trace.append(v.size)
-        if v.size == 0:
-            return False, trace
-        if v.size >= escape_cap:
-            return True, trace
-    return True, trace
+    v, trace = _killed_population(vlaw, v_slope, n, escape_cap, rng)
+    return v.size > 0, trace
 
 
 def estimate_rho(vlaw: VLaw, barrier: BarrierSpec | float, n: int, replicates: int,
@@ -193,8 +208,7 @@ def estimate_M_kappa(vlaw: VLaw, j_max: int = 10, replicates: int = 800,
         running = 0.0
         for j in range(1, j_max + 1):
             if v.size:
-                counts, flat = models.sample_broods(base, v.size, rng)
-                v = np.repeat(v, counts) + vlaw.v_increment(flat)
+                v, _ = _advance(vlaw, v, rng)
                 if v.size > population_guard:
                     raise GridExhausted("unkilled population exceeded the guard; lower j_max")
                 if v.size:
@@ -233,7 +247,6 @@ def simulate_G(vlaw: VLaw, params: GwEmbedParams, replicates: int, seed: int = 0
     """
     if strict and not params.satisfies_block_inequality:
         raise ValueError("(1-alpha)*eps*L >= M*(n-L) fails for these parameters")
-    base = vlaw.base
     phase1_slope = params.alpha * params.eps
     limit = (1.0 - params.alpha) * params.eps * params.L
     depth2 = params.n - params.L
@@ -241,13 +254,7 @@ def simulate_G(vlaw: VLaw, params: GwEmbedParams, replicates: int, seed: int = 0
     out = np.zeros(replicates, dtype=np.int64)
     for i in range(replicates):
         rng = pool.rekey(i)
-        v = np.zeros(1)
-        for gen in range(1, params.L + 1):
-            counts, flat = models.sample_broods(base, v.size, rng)
-            child_v = np.repeat(v, counts) + vlaw.v_increment(flat)
-            v = child_v[child_v <= phase1_slope * gen + BOUNDARY_TOL]
-            if v.size == 0:
-                break
+        v, _ = _killed_population(vlaw, phase1_slope, params.L, math.inf, rng)
         if v.size == 0:
             continue
         # phase 2: per level-L survivor, require every subtree vertex within
@@ -256,8 +263,7 @@ def simulate_G(vlaw: VLaw, params: GwEmbedParams, replicates: int, seed: int = 0
         delta = np.zeros(v.size)
         qualified = np.ones(v.size, dtype=bool)
         for _ in range(depth2):
-            counts, flat = models.sample_broods(base, delta.size, rng)
-            child_delta = np.repeat(delta, counts) + vlaw.v_increment(flat)
+            child_delta, counts = _advance(vlaw, delta, rng)
             child_owner = np.repeat(owner, counts)
             bad = child_delta > limit + BOUNDARY_TOL
             if bad.any():

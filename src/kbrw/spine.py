@@ -22,7 +22,9 @@ import numpy as np
 from . import models
 from .errors import CertificationError
 from .models import DiscreteFinite, ExplicitFinite, Gaussian, OffspringLaw, ProductLaw
-from .rng import StreamPool, replicate_stream
+from .rng import StreamPool
+from .simulate import _advance
+from .stats import chunked_mean, mean_and_stderr
 from .transform import VLaw
 
 MEAN_TOL = 1e-12
@@ -275,32 +277,20 @@ def _tree_lhs_fixed_topology(vlaw: VLaw, n: int, func: PathFunctional,
     n_edges = int(offsets[-1] + c ** n)
     nu = np.full((1, n), c, dtype=np.int64)
 
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk_id = 0
-    while done < replicates:
-        k = min(_CHUNK, replicates - done)
-        rng = replicate_stream(seed, chunk_id)
+    def draw(rng, k):
         u = values[np.searchsorted(cdf, rng.random((k, n_edges)), side="right")]
         v = vlaw.v_increment(u)
         paths = np.cumsum(v[:, idx], axis=2)               # (k, leaves, n)
         flat = paths.reshape(-1, n)
         f = func(flat, np.broadcast_to(nu, flat.shape)).reshape(k, leaves)
-        w = np.sum(np.exp(-paths[:, :, -1]) * f, axis=1)
-        total += float(w.sum())
-        total_sq += float(np.dot(w, w))
-        done += k
-        chunk_id += 1
-    mean = total / replicates
-    var = max(total_sq / replicates - mean * mean, 0.0) * replicates / max(replicates - 1, 1)
-    return mean, math.sqrt(var / replicates)
+        return np.sum(np.exp(-paths[:, :, -1]) * f, axis=1)
+
+    return chunked_mean(seed, replicates, _CHUNK, draw)
 
 
 def _tree_lhs_general(vlaw: VLaw, n: int, func: PathFunctional,
                       replicates: int, seed: int) -> tuple[float, float]:
     """Direct-tree route for random topologies; one replicate per stream."""
-    base = vlaw.base
     pool = StreamPool(seed)
     w = np.zeros(replicates)
     for r in range(replicates):
@@ -309,19 +299,15 @@ def _tree_lhs_general(vlaw: VLaw, n: int, func: PathFunctional,
         nus = np.zeros((1, 0), dtype=np.int64)
         cur = np.zeros(1)
         for _ in range(n):
-            counts, flat = models.sample_broods(base, cur.size, rng)
-            child_v = np.repeat(cur, counts) + vlaw.v_increment(flat)
-            paths = np.hstack([np.repeat(paths, counts, axis=0), child_v[:, None]])
+            cur, counts = _advance(vlaw, cur, rng)
+            paths = np.hstack([np.repeat(paths, counts, axis=0), cur[:, None]])
             nus = np.hstack([np.repeat(nus, counts, axis=0),
                              np.repeat(counts, counts)[:, None]])
-            cur = child_v
             if cur.size == 0:
                 break
         if cur.size:
             w[r] = float(np.dot(np.exp(-paths[:, -1]), func(paths, nus)))
-    mean = float(w.mean())
-    se = float(w.std(ddof=1) / math.sqrt(replicates)) if replicates > 1 else math.inf
-    return mean, se
+    return mean_and_stderr(w)
 
 
 def tree_many_to_one_lhs(vlaw: VLaw, n: int, func: PathFunctional,
@@ -336,22 +322,8 @@ def tree_many_to_one_lhs(vlaw: VLaw, n: int, func: PathFunctional,
 def spine_many_to_one_rhs(sp: SpineLaw, n: int, func: PathFunctional,
                           replicates: int, seed: int = 0) -> tuple[float, float]:
     """MC estimate of E[F(S_1..S_n, nu_0..nu_{n-1})] by spine sampling."""
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk_id = 0
-    while done < replicates:
-        k = min(_CHUNK, replicates - done)
-        rng = replicate_stream(seed, chunk_id)
-        s, nu = sample_spine_paths(sp, n, k, rng)
-        f = func(s, nu)
-        total += float(f.sum())
-        total_sq += float(np.dot(f, f))
-        done += k
-        chunk_id += 1
-    mean = total / replicates
-    var = max(total_sq / replicates - mean * mean, 0.0) * replicates / max(replicates - 1, 1)
-    return mean, math.sqrt(var / replicates)
+    return chunked_mean(seed, replicates, _CHUNK,
+                        lambda rng, k: func(*sample_spine_paths(sp, n, k, rng)))
 
 
 @dataclass(frozen=True)

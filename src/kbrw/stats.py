@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 
+from .rng import replicate_stream
+
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
@@ -43,6 +45,24 @@ def mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
     return mean, float(values.std(ddof=1) / math.sqrt(n))
 
 
+def chunked_mean(seed: int, replicates: int, chunk: int, draw) -> tuple[float, float]:
+    """Mean and standard error of ``replicates`` values sampled chunk by chunk.
+
+    ``draw(rng, k)`` returns the values of the next k replicates as a 1-D
+    float array.  Chunk c holds at most ``chunk`` replicates and draws from
+    ``replicate_stream(seed, c)``, so the chunk size decides which stream a
+    replicate reads; only a running sum and sum of squares are kept.
+    """
+    total = total_sq = 0.0
+    for chunk_id, start in enumerate(range(0, replicates, chunk)):
+        w = draw(replicate_stream(seed, chunk_id), min(chunk, replicates - start))
+        total += float(w.sum())
+        total_sq += float(np.dot(w, w))
+    mean = total / replicates
+    var = max(total_sq / replicates - mean * mean, 0.0) * replicates / max(replicates - 1, 1)
+    return mean, math.sqrt(var / replicates)
+
+
 def regression_slope(x, y) -> float:
     """Least-squares slope of y on x."""
     x = np.asarray(x, dtype=np.float64)
@@ -51,4 +71,5 @@ def regression_slope(x, y) -> float:
     return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
 
 
-__all__ = ["Z95", "wilson_interval", "proportion_stderr", "mean_and_stderr", "regression_slope"]
+__all__ = ["Z95", "wilson_interval", "proportion_stderr", "mean_and_stderr", "chunked_mean",
+           "regression_slope"]

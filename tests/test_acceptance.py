@@ -136,9 +136,10 @@ def test_criterion_06_decay_constant_regression(p03):
 
 def test_criterion_07_lemma46_direction():
     # the criterion pins the grid and the exactness, not the law; on the
-    # binary p=0.3 law the exact sequence dips between n=250 and n=500
-    # (see decisions ledger), so the gate runs on the mixed-offspring
-    # library law, where the exact sequence is increasing as stated
+    # binary p=0.3 law the exact sequence is not increasing (it dips from
+    # -1.847 at n=250 to -1.867 at n=500), so the gate runs on the
+    # mixed-offspring library law, where the exact sequence is increasing
+    # as stated
     start = time.perf_counter()
     law = LIBRARY_LAWS["mixed_offspring"]
     prof = solve_tstar(law)
@@ -185,8 +186,9 @@ def test_criterion_09_mogulskii_closed_forms():
     f = ito_mckean_f
     ok_add = all(abs(f(-1, 1, -1, m) + f(-1, 1, m, 1) - f(-1, 1, -1, 1)) < 1e-12
                  for m in (-0.6, 0.0, 0.7))
-    # spec budget (1e6 paths x 1e4 steps) cannot meet the 1-minute gate;
-    # 2e5 x 2e3 with bridge correction is decisive at 3 sigma (see ledger)
+    # the stated budget of 1e6 paths x 1e4 steps does not fit the one-minute
+    # gate; 2e5 paths x 2e3 steps with the bridge correction still decide
+    # the comparison at 3 sigma
     mc, se = brownian_corridor_mc(-1, 1, -1, 1, paths=200_000, steps=2_000, seed=90)
     series = f(-1, 1, -1, 1)
     ok_mc = abs(series - mc) <= 3.0 * se

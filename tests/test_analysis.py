@@ -5,7 +5,7 @@ import pytest
 
 from kbrw.analysis import (CgfEvaluator, aldous_rate, beta_bs,
                            beta_bs_from_gamma_derivative, central_difference,
-                           gamma_bs_solve, psi_eval, solve_tstar)
+                           gamma_bs_solve, solve_tstar)
 from kbrw.errors import NoCriticalPoint
 from kbrw.models import (BinaryBernoulli, DiscreteFinite, ExplicitFinite,
                          Gaussian, ProductLaw)
@@ -32,7 +32,7 @@ def _bisect_tstar(ev, lo=1e-9, hi=64.0):
 def test_psi_closed_form_binary():
     p, t = 0.3, 2.7
     ev = CgfEvaluator(BinaryBernoulli(p))
-    psi, p1, p2 = psi_eval(ev, t)
+    psi, p1, p2 = ev.evaluate(t)
     assert psi == pytest.approx(math.log(2.0 * (p * math.e ** t + 1 - p)), rel=1e-14)
     # frozen from the closed form: log(2*(0.3*e^2.7 + 0.7)) and its derivative
     assert psi == pytest.approx(2.3348430681134101, rel=1e-13)

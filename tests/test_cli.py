@@ -62,6 +62,19 @@ def test_analyze_percolation_exit_code(tmp_path, capsys):
     assert main(["analyze", "--config", cfg2]) == EXIT_NO_CRITICAL_POINT
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("survival", {"seed": 1, "slopes": [0.1], "n": [3], "replicates": 100}),
+    ("mogulskii", {"seed": 1, "family": {"type": "spine"}, "n_list": [10],
+                   "corridor": {"g1": {"type": "affine", "intercept": -1.0},
+                                "g2": {"type": "affine", "intercept": 1.0},
+                                "sigma": 1.0}}),
+])
+def test_percolation_exit_code_survival_and_mogulskii(tmp_path, command, extra):
+    cfg = _write(tmp_path, f"{command}.json",
+                 {"law": {"type": "binary_bernoulli", "p": 0.6}, **extra})
+    assert main([command, "--config", cfg, "--threads", "1"]) == EXIT_NO_CRITICAL_POINT
+
+
 def test_analyze_subcritical_exit_code(tmp_path):
     cfg = _write(tmp_path, "c.json", {
         "law": {"type": "product", "offspring_pmf": [[0, 0.6], [2, 0.4]],

@@ -1,0 +1,79 @@
+"""Golden outputs: exact values of the Monte Carlo routes at fixed seeds.
+
+A refactor that claims to keep every output must keep these bit for bit,
+so each value is compared with ``==``.  They were recorded with numpy 2.4.6
+on Python 3.11.7; another numpy may change a generator's output and with it
+these values.  A change that alters the random draws on purpose (such as the
+batched, counter-addressed population kernel on the roadmap) records them
+again and says so in CHANGES.md.
+"""
+
+import hashlib
+import json
+import math
+
+from kbrw.analysis import solve_tstar
+from kbrw.cli import main
+from kbrw.models import BinaryBernoulli, DiscreteFinite, Gaussian, ProductLaw
+from kbrw.mogulskii import (ArraySpec, CorridorSpec, brownian_corridor_mc,
+                            triangular_experiment)
+from kbrw.simulate import GwEmbedParams, escape_cap_sweep, estimate_M_kappa, simulate_G
+from kbrw.spine import functional, make_spine, spine_many_to_one_rhs, tree_many_to_one_lhs
+from kbrw.transform import make_vlaw
+
+MIXED = ProductLaw(((0, 0.2), (1, 0.3), (2, 0.3), (3, 0.2)),
+                   DiscreteFinite(((0.0, 0.5), (1.0, 0.5))))
+
+
+def _vlaw(law):
+    return make_vlaw(law, solve_tstar(law))
+
+
+def test_survival_csv_bytes(tmp_path):
+    # the survival config of acceptance criterion 11
+    cfg = tmp_path / "survival.json"
+    cfg.write_text(json.dumps({"law": {"type": "binary_bernoulli", "p": 0.3}, "seed": 97,
+                               "slopes": [0.1], "n": [6], "replicates": 2000}))
+    out = tmp_path / "survival.csv"
+    assert main(["survival", "--config", str(cfg), "--out", str(out), "--threads", "1"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "bc135adf99d0f0b6da64cb190435cd2c23b3e507adc966fe3527a6dcfec0376c"
+
+
+def test_brownian_corridor_mc():
+    # 45k paths span three streams, the last one partial
+    assert brownian_corridor_mc(-1, 1, -1, 1, paths=45_000, steps=40, seed=5) == \
+        (0.3716639898161002, 0.0021729473090450068)
+
+
+def test_many_to_one_routes():
+    f = functional("below_line", slope=0.5)
+    # binary law: fixed topology, two chunks of replicates
+    assert tree_many_to_one_lhs(_vlaw(BinaryBernoulli(0.3)), 4, f, 10_000, seed=3) == \
+        (0.6750402310508326, 0.020724224845726197)
+    # mixed offspring counts: random topology, one stream per replicate
+    vm = _vlaw(MIXED)
+    assert tree_many_to_one_lhs(vm, 4, f, 300, seed=4) == \
+        (0.7125828851046482, 0.10923488763683831)
+    g = functional("below_line_maxnu", slope=0.5, r=2)
+    assert spine_many_to_one_rhs(make_spine(vm), 4, g, 10_000, seed=6) == \
+        (0.1035, 0.0030462604895670083)
+
+
+def test_population_routines():
+    vb = _vlaw(BinaryBernoulli(0.3))
+    assert estimate_M_kappa(vb, j_max=6, replicates=200, seed=7) == (2.3371509353037863, 1.0)
+    params = GwEmbedParams(n=12, eps=0.43, alpha=0.5, L=10, M=0.2)
+    assert int(simulate_G(vb, params, 1000, seed=8).sum()) == 56
+    sweep = escape_cap_sweep(vb, 0.1, 10, 400, [2, 8, 64, math.inf], seed=9)
+    assert [e.p_hat for e in sweep] == [0.135, 0.04, 0.0375, 0.0375]
+
+
+def test_gaussian_spine_corridor_row():
+    g = ProductLaw(((1, 0.5), (3, 0.5)), Gaussian(0.0, 1.0))
+    arr = ArraySpec.from_spine(make_spine(_vlaw(g)))
+    spec = CorridorSpec.from_functions(lambda t: -1.0, lambda t: 1.0, 1.0)
+    row, = triangular_experiment(arr, spec, [8], endpoint_b=0.5, mc_replicates=70_000,
+                                 seed=10)
+    assert (row.method, row.prob, row.endpoint_prob) == \
+        ("mc", 0.17995714285714284, 0.03768571428571429)

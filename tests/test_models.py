@@ -8,17 +8,16 @@ from hypothesis import strategies as st
 from kbrw.errors import LawValidationError
 from kbrw.models import (BinaryBernoulli, DiscreteFinite, ExplicitFinite,
                          Gaussian, ProductLaw, intensity_atoms, is_lattice,
-                         mean_children, offspring_pmf, sample_broods,
-                         sample_offspring, validate)
+                         mean_children, offspring_pmf, sample_broods, validate)
 from kbrw.rng import replicate_stream
 
 
 def test_binary_bernoulli_support():
     rng = replicate_stream(7, 0)
     for _ in range(50):
-        real = sample_offspring(BinaryBernoulli(0.5), rng)
-        assert len(real) == 2
-        assert set(real.displacements) <= {0.0, 1.0}
+        counts, flat = sample_broods(BinaryBernoulli(0.5), 1, rng)
+        assert counts.tolist() == [2] and flat.size == 2
+        assert set(flat.tolist()) <= {0.0, 1.0}
 
 
 def test_degenerate_empty_outcome_rejected_at_validation():

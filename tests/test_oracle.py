@@ -135,27 +135,30 @@ def test_non_lattice_rejected(law_gaussian):
 def test_corridor_unconstrained():
     lower = np.full(6, -100)
     upper = np.full(6, 100)
-    assert exact_corridor_walk([-1, 1], [0.5, 0.5], lower, upper) == pytest.approx(1.0)
+    p, pe = exact_corridor_walk([-1, 1], [0.5, 0.5], lower, upper)
+    assert p == pytest.approx(1.0) and pe is None
 
 
 def test_corridor_parity_pin():
     # +-1 walk cannot sit at 0 after one step
-    assert exact_corridor_walk([-1, 1], [0.5, 0.5], [0, -1], [0, 1]) == 0.0
+    assert exact_corridor_walk([-1, 1], [0.5, 0.5], [0, -1], [0, 1]) == (0.0, None)
     # corridor {-1,0,1} at both steps: S_2 = +-2 exits with probability 1/2
-    assert exact_corridor_walk([-1, 1], [0.5, 0.5], [-1, -1], [1, 1]) == pytest.approx(0.5)
+    p, _ = exact_corridor_walk([-1, 1], [0.5, 0.5], [-1, -1], [1, 1])
+    assert p == pytest.approx(0.5)
 
 
 def test_corridor_empty_level_is_zero():
-    assert exact_corridor_walk([-1, 1], [0.5, 0.5], [2, 0], [1, 3]) == 0.0
+    assert exact_corridor_walk([-1, 1], [0.5, 0.5], [2, 0], [1, 3]) == (0.0, None)
 
 
 def test_corridor_endpoint_window():
     lower = np.full(4, -4)
     upper = np.full(4, 4)
-    total = exact_corridor_walk([-1, 1], [0.5, 0.5], lower, upper)
-    parts = (exact_corridor_walk([-1, 1], [0.5, 0.5], lower, upper, endpoint=(-4, 0))
-             + exact_corridor_walk([-1, 1], [0.5, 0.5], lower, upper, endpoint=(1, 4)))
-    assert parts == pytest.approx(total, rel=1e-14)
+    total, _ = exact_corridor_walk([-1, 1], [0.5, 0.5], lower, upper)
+    p_low, below = exact_corridor_walk([-1, 1], [0.5, 0.5], lower, upper, endpoint=(-4, 0))
+    p_high, above = exact_corridor_walk([-1, 1], [0.5, 0.5], lower, upper, endpoint=(1, 4))
+    assert p_low == p_high == total
+    assert below + above == pytest.approx(total, rel=1e-14)
 
 
 def test_corridor_against_exhaustive_paths():
@@ -164,15 +167,15 @@ def test_corridor_against_exhaustive_paths():
     a = 4
     lower = np.full(n, -a)
     upper = np.full(n, a)
-    dp = exact_corridor_walk([-1, 0, 1], [1 / 3, 1 / 3, 1 / 3], lower, upper)
+    dp, _ = exact_corridor_walk([-1, 0, 1], [1 / 3, 1 / 3, 1 / 3], lower, upper)
     steps = np.array(list(product((-1, 0, 1), repeat=n)), dtype=np.int64)
     s = np.cumsum(steps, axis=1)
     ok = np.all((s >= -a) & (s <= a), axis=1)
     lit = ok.mean()  # each path has probability 3^-n
     assert dp == pytest.approx(float(lit), rel=1e-13)
     # endpoint window variant
-    dp_e = exact_corridor_walk([-1, 0, 1], [1 / 3, 1 / 3, 1 / 3], lower, upper,
-                               endpoint=(1, a))
+    _, dp_e = exact_corridor_walk([-1, 0, 1], [1 / 3, 1 / 3, 1 / 3], lower, upper,
+                                  endpoint=(1, a))
     lit_e = (ok & (s[:, -1] >= 1)).mean()
     assert dp_e == pytest.approx(float(lit_e), rel=1e-13)
 
