@@ -19,7 +19,7 @@ from .oracle import LatticeLaw, exact_corridor_walk, exact_path_survival, rho_li
 from .simulate import (BarrierSpec, GwEmbedParams, SurvivalEstimate,
                        estimate_M_kappa, estimate_rho, run_killed_brw, simulate_G)
 from .spine import (SpineLaw, functional, make_spine, many_to_one_check,
-                    sample_spine_path, sample_spine_paths)
+                    sample_spine_paths)
 from .transform import VLaw, barrier_map, make_vlaw
 
 __version__ = "0.1.0"
@@ -30,7 +30,7 @@ __all__ = [
     "CgfEvaluator", "CriticalProfile", "solve_tstar", "gamma_bs_solve",
     "beta_bs", "beta_bs_from_gamma_derivative", "aldous_rate",
     "VLaw", "make_vlaw", "barrier_map",
-    "SpineLaw", "make_spine", "sample_spine_path", "sample_spine_paths",
+    "SpineLaw", "make_spine", "sample_spine_paths",
     "functional", "many_to_one_check",
     "BarrierSpec", "SurvivalEstimate", "GwEmbedParams", "run_killed_brw",
     "estimate_rho", "estimate_M_kappa", "simulate_G",

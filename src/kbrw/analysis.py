@@ -34,7 +34,6 @@ class CgfEvaluator:
     """
 
     def __init__(self, law: OffspringLaw):
-        self.law = law
         atoms = models.intensity_atoms(law)
         if atoms is None:
             assert isinstance(law, ProductLaw) and isinstance(law.step, Gaussian)
@@ -120,14 +119,11 @@ def _solve_h_root(ev: CgfEvaluator) -> float:
     raise ArithmeticError("t* iteration did not reach the residual tolerance")
 
 
-def solve_tstar(law: OffspringLaw | CgfEvaluator) -> CriticalProfile:
+def solve_tstar(law: OffspringLaw) -> CriticalProfile:
     """Solve the critical equation and assemble the full constant profile."""
-    if isinstance(law, CgfEvaluator):
-        ev = law
-    else:
-        models.require_valid(law)
-        ev = CgfEvaluator(law)
-    _percolation_check(ev.law)
+    models.require_valid(law)
+    _percolation_check(law)
+    ev = CgfEvaluator(law)
     t = _solve_h_root(ev)
     psi, _, p2 = ev.evaluate(t)
     beta_u = math.pi * math.sqrt(t * p2) / math.sqrt(2.0)

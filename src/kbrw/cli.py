@@ -11,18 +11,21 @@ Subcommands:
                     constant over an n-grid.
 
 Every stochastic command requires a seed and is bit-reproducible from
-(config, seed); rows are dispatched to a process pool and sorted before
-writing, so the thread count never changes the output.
+(config, seed); ``survival`` and ``pemantle`` rows are dispatched to a
+process pool and sorted before writing, so the thread count never changes
+the output.  A config's ``time_budget_s`` bounds the whole run: when it
+runs out the command stops, writes no CSV and exits 4.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import math
+import multiprocessing
 import os
+import signal
 import sys
 import time
 
@@ -237,13 +240,16 @@ def write_csv(out_path: str | None, schema: str, config: dict, header: list[str]
 
 
 def _run_rows(tasks, worker, threads: int | None):
+    """worker(task) for every task, in order.  Leaving the pool's ``with``
+    block terminates its workers, so an exception here (such as the budget
+    alarm) does not wait for queued rows."""
     if threads is None:
         threads = os.cpu_count() or 1
     workers = min(threads, len(tasks))
     if workers <= 1:
         return [worker(t) for t in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks))
+    with multiprocessing.Pool(workers) as pool:
+        return list(pool.imap(worker, tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +322,7 @@ def _survival_task(task: dict) -> dict:
     return row
 
 
-def cmd_survival(config: dict, out_path: str | None, threads: int) -> int:
+def cmd_survival(config: dict, threads: int | None):
     law = law_from_config(config["law"])
     vlaw = _certified_vlaw(law)
     coordinate = config.get("coordinate", "V")
@@ -340,18 +346,11 @@ def cmd_survival(config: dict, out_path: str | None, threads: int) -> int:
                               "row_seed": derive_seed(config["seed"], idx),
                               "record_runtime": config.get("record_runtime", False)})
                 idx += 1
-    budget = config.get("time_budget_s")
-    started = time.perf_counter()
     rows = _run_rows(tasks, _survival_task, threads)
-    if budget is not None and time.perf_counter() - started > budget:
-        print("runtime budget exceeded", file=sys.stderr)
-        return EXIT_BUDGET
     rows.sort(key=lambda r: (r["method"], r["slope"], r["n"]))
     header = ["method", "coordinate", "slope", "n", "estimate", "ci_low", "ci_high",
               "replicates", "seed", "cap_hits", "runtime_ms"]
-    write_csv(out_path, "survival", config, header,
-              [[r[h] for h in header] for r in rows])
-    return EXIT_OK
+    return header, [[r[h] for h in header] for r in rows], []
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +367,10 @@ def _pemantle_task(task: dict) -> dict:
             "beta_target": -task["beta"]}
 
 
-def cmd_pemantle(config: dict, out_path: str | None, threads: int) -> int:
+def cmd_pemantle(config: dict, threads: int | None):
     law = law_from_config(config["law"])
     if not isinstance(law, BinaryBernoulli):
-        print("pemantle command needs a binary_bernoulli law", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise LawValidationError("pemantle command needs a binary_bernoulli law")
     profile = solve_tstar(law)
     ll = oracle.LatticeLaw.from_law(law)
     beta = beta_bs(law.p)
@@ -381,35 +379,23 @@ def cmd_pemantle(config: dict, out_path: str | None, threads: int) -> int:
               "n_start": config.get("n_start", 128),
               "n_max": config.get("n_max", 1 << 18), "beta": beta}
              for e in config["eps_grid"]]
-    budget = config.get("time_budget_s")
-    started = time.perf_counter()
     rows = _run_rows(tasks, _pemantle_task, threads)
-    if budget is not None and time.perf_counter() - started > budget:
-        print("runtime budget exceeded", file=sys.stderr)
-        return EXIT_BUDGET
     rows.sort(key=lambda r: -r["eps_U"])
     header = ["eps_U", "eps_V", "n_used", "rho_oracle",
               "sqrt_eps_times_log_rho", "beta_target"]
     footers = []
     if abs(16.0 * law.p * (1.0 - law.p) - 1.0) <= 1e-9:
         footers.append(f"aldous_rate={_fmt(aldous_rate(law.p))}")
-    write_csv(out_path, "pemantle", config, header,
-              [[r[h] for h in header] for r in rows], footer_comments=footers)
-    return EXIT_OK
+    return header, [[r[h] for h in header] for r in rows], footers
 
 
 # ---------------------------------------------------------------------------
 # mogulskii experiments
 
-def cmd_mogulskii(config: dict, out_path: str | None) -> int:
+def cmd_mogulskii(config: dict):
     cor = config["corridor"]
-    try:
-        spec = mogulskii.CorridorSpec.from_functions(
-            _boundary_from_config(cor["g1"]), _boundary_from_config(cor["g2"]),
-            cor["sigma"])
-    except ValueError as exc:
-        print(f"invalid corridor: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    spec = mogulskii.CorridorSpec.from_functions(
+        _boundary_from_config(cor["g1"]), _boundary_from_config(cor["g2"]), cor["sigma"])
     fam = config["family"]
     if fam["type"] == "lazy":
         arr = mogulskii.ArraySpec.lazy_walk()
@@ -417,8 +403,7 @@ def cmd_mogulskii(config: dict, out_path: str | None) -> int:
         arr = mogulskii.ArraySpec.lattice(tuple((v, p) for v, p in fam["atoms"]))
     else:
         if "law" not in config:
-            print("spine family needs a 'law' entry in the config", file=sys.stderr)
-            return EXIT_VALIDATION
+            raise ValueError("spine family needs a 'law' entry in the config")
         vlaw = _certified_vlaw(law_from_config(config["law"]))
         arr = mogulskii.ArraySpec.from_spine(spine.make_spine(vlaw),
                                              condition_nu=fam.get("condition_nu", True))
@@ -440,8 +425,7 @@ def cmd_mogulskii(config: dict, out_path: str | None) -> int:
         if endpoint_b is not None:
             row += [r.endpoint_prob, r.endpoint_scaled]
         table.append(row)
-    write_csv(out_path, "mogulskii", config, header, table)
-    return EXIT_OK
+    return header, table, []
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +439,14 @@ def _load_config(path: str, command: str, overrides: dict) -> dict:
     return config
 
 
+class _BudgetExceeded(Exception):
+    """time_budget_s ran out."""
+
+
+def _budget_alarm(signum, frame):
+    raise _BudgetExceeded
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="kbrw",
                                      description="killed branching random walk laboratory")
@@ -462,8 +454,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="JSON experiment config")
     parser.add_argument("--seed", type=int, default=None, help="overrides config seed")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker processes for independent rows "
-                             "(default: hardware parallelism)")
+                        help="worker processes for independent survival and pemantle "
+                             "rows (default: hardware parallelism)")
     parser.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     parser.add_argument("--escape-cap", type=int, default=None,
                         help="overrides config escape_cap")
@@ -476,14 +468,26 @@ def main(argv: list[str] | None = None) -> int:
     except (jsonschema.ValidationError, json.JSONDecodeError, OSError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    # one real-time alarm bounds the whole command; the CSV is written only
+    # after it is disarmed, so a run that overshoots leaves no partial output
+    budget = config.get("time_budget_s")
+    if budget is not None:
+        previous = signal.signal(signal.SIGALRM, _budget_alarm)
     try:
-        if args.command == "analyze":
-            return cmd_analyze(config, args.out)
-        if args.command == "survival":
-            return cmd_survival(config, args.out, args.threads)
-        if args.command == "pemantle":
-            return cmd_pemantle(config, args.out, args.threads)
-        return cmd_mogulskii(config, args.out)
+        try:
+            if budget is not None:
+                signal.setitimer(signal.ITIMER_REAL, budget)
+            if args.command == "analyze":
+                return cmd_analyze(config, args.out)
+            if args.command == "survival":
+                header, rows, footers = cmd_survival(config, args.threads)
+            elif args.command == "pemantle":
+                header, rows, footers = cmd_pemantle(config, args.threads)
+            else:
+                header, rows, footers = cmd_mogulskii(config)
+        finally:
+            if budget is not None:
+                signal.setitimer(signal.ITIMER_REAL, 0)
     except (LawValidationError, CertificationError, LatticeError, ValueError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -493,6 +497,14 @@ def main(argv: list[str] | None = None) -> int:
     except GridExhausted as exc:
         print(f"grid exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except _BudgetExceeded:
+        print("runtime budget exceeded", file=sys.stderr)
+        return EXIT_BUDGET
+    finally:
+        if budget is not None:
+            signal.signal(signal.SIGALRM, previous)
+    write_csv(args.out, args.command, config, header, rows, footers)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -28,6 +28,9 @@ from .errors import LawValidationError
 
 PROB_TOL = 1e-12
 LATTICE_TOL = 1e-9
+# within this of a bound counts as inside: the Monte Carlo kill line, the
+# exact DP's integer barrier and the lattice corridor bounds all use it
+BOUNDARY_TOL = 1e-9
 
 
 def _normalize_probs(probs, what: str) -> tuple[float, ...]:

@@ -1,11 +1,11 @@
 """Small-deviation corridor asymptotics and their finite-n experiments.
 
 Three pieces: the limiting corridor constant
-``-(pi^2 sigma^2 / 2) * integral dt / (g2(t) - g1(t))^2`` by adaptive
-quadrature; the eigenfunction series for the probability that a Brownian
-motion stays in a strip and ends in a window; and triangular-array
-experiments that push exact lattice corridor probabilities (or Monte Carlo
-ones) toward the limit constant.
+``-(pi^2 sigma^2 / 2) * integral dt / (g2(t) - g1(t))^2``, exact for the
+stored piecewise-linear corridor; the eigenfunction series for the
+probability that a Brownian motion stays in a strip and ends in a window;
+and triangular-array experiments that push exact lattice corridor
+probabilities (or Monte Carlo ones) toward the limit constant.
 """
 
 from __future__ import annotations
@@ -17,14 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .models import DiscreteFinite
+from .models import BOUNDARY_TOL, DiscreteFinite
 from .spine import SpineLaw
 from .stats import chunked_mean
 
-QUAD_TOL = 1e-10        # absolute tolerance of the corridor-constant integral
 SERIES_TOL = 1e-14      # series truncation for the strip probability
 N_SAMPLES = 1024        # boundary functions stored as dense samples
-_EDGE_NUDGE = 1e-9      # snaps near-integer lattice bounds inclusively
 # paths per random stream in the two Monte Carlo estimators; changing either
 # changes which stream a path reads, and so every estimate
 _BM_CHUNK = 20_000
@@ -36,8 +34,8 @@ class CorridorSpec:
     """Continuous corridor (g1, g2) on [0,1] plus the diffusion scale.
 
     Boundaries are stored as dense samples with linear interpolation;
-    continuity is all the limit statement needs and the quadrature
-    tolerance dominates the sampling error.
+    continuity is all the limit statement needs, and an affine boundary is
+    its own interpolant.
     """
 
     ts: tuple[float, ...]
@@ -68,28 +66,15 @@ class CorridorSpec:
         return np.interp(t, self.ts, self.g2_samples)
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 50) -> float:
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def rec(a, b, fa, fm, fb, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if depth >= max_depth or abs(left + right - whole) < 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (rec(a, m, fa, flm, fm, left, 0.5 * tol, depth + 1)
-                + rec(m, b, fm, frm, fb, right, 0.5 * tol, depth + 1))
-
-    return rec(a, b, fa, fm, fb, whole, tol, 0)
-
-
 def corridor_constant(spec: CorridorSpec) -> float:
-    """The (negative) limit of (a_n^2/n) log P{corridor event}."""
-    width = lambda t: float(spec.g2(t) - spec.g1(t))
-    integral = _adaptive_simpson(lambda t: 1.0 / width(t) ** 2, 0.0, 1.0, QUAD_TOL)
+    """The (negative) limit of (a_n^2/n) log P{corridor event}.
+
+    The stored width is linear between samples, and a segment of length dt
+    whose width runs from w0 to w1 contributes exactly dt/(w0*w1) to
+    integral dt / width^2.
+    """
+    w = np.subtract(spec.g2_samples, spec.g1_samples)
+    integral = math.fsum(np.diff(spec.ts) / (w[:-1] * w[1:]))
     return -0.5 * math.pi ** 2 * spec.sigma ** 2 * integral
 
 
@@ -264,8 +249,8 @@ def _lattice_corridor_prob(arr: ArraySpec, spec: CorridorSpec, n: int,
 
     Spine families walk on the affine lattice S = i*psi - t* T with T an
     integer walk, so corridor bounds map to integer bounds on T.  Bounds
-    are chosen inward (ceil lower, floor upper) with a 1e-9 snap so exact
-    lattice hits stay inclusive.
+    are chosen inward (ceil lower, floor upper) with a BOUNDARY_TOL snap so
+    exact lattice hits stay inclusive.
     """
     a = arr.a_n(n)
     i = np.arange(1, n + 1)
@@ -275,10 +260,10 @@ def _lattice_corridor_prob(arr: ArraySpec, spec: CorridorSpec, n: int,
     values, probs, _ = arr.step_pmf_at(n)
     if arr.kind == "lattice":
         steps = values.astype(np.int64)
-        lower = np.ceil(lo_s - _EDGE_NUDGE).astype(np.int64)
-        upper = np.floor(hi_s + _EDGE_NUDGE).astype(np.int64)
+        lower = np.ceil(lo_s - BOUNDARY_TOL).astype(np.int64)
+        upper = np.floor(hi_s + BOUNDARY_TOL).astype(np.int64)
         endpoint = (None if s_floor is None
-                    else (int(math.ceil(s_floor - _EDGE_NUDGE)), int(upper[-1])))
+                    else (int(math.ceil(s_floor - BOUNDARY_TOL)), int(upper[-1])))
     else:
         sp = arr.spine
         t_star, psi = sp.vlaw.t_star, sp.vlaw.psi_tstar
@@ -286,11 +271,11 @@ def _lattice_corridor_prob(arr: ArraySpec, spec: CorridorSpec, n: int,
         if np.max(np.abs((psi - values) / t_star - steps)) > 1e-6:
             raise ValueError("spine steps do not sit on an integer displacement lattice")
         # S_i in [lo, hi]  <=>  T_i in [(i psi - hi)/t*, (i psi - lo)/t*]
-        lower = np.ceil((i * psi - hi_s) / t_star - _EDGE_NUDGE).astype(np.int64)
-        upper = np.floor((i * psi - lo_s) / t_star + _EDGE_NUDGE).astype(np.int64)
+        lower = np.ceil((i * psi - hi_s) / t_star - BOUNDARY_TOL).astype(np.int64)
+        upper = np.floor((i * psi - lo_s) / t_star + BOUNDARY_TOL).astype(np.int64)
         endpoint = (None if s_floor is None
                     else (int(lower[-1]),
-                          int(math.floor((n * psi - s_floor) / t_star + _EDGE_NUDGE))))
+                          int(math.floor((n * psi - s_floor) / t_star + BOUNDARY_TOL))))
     return oracle.exact_corridor_walk(steps, probs, lower, upper, endpoint=endpoint)
 
 
@@ -367,5 +352,5 @@ def triangular_experiment(arr: ArraySpec, spec: CorridorSpec, n_list,
 __all__ = [
     "CorridorSpec", "corridor_constant", "ito_mckean_f", "brownian_corridor_mc",
     "ArraySpec", "ExperimentRow", "triangular_experiment", "default_endpoint_b",
-    "r_n", "QUAD_TOL", "SERIES_TOL",
+    "r_n", "SERIES_TOL",
 ]

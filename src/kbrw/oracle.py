@@ -18,25 +18,19 @@ from numpy.polynomial import polynomial as npoly
 from . import models
 from .analysis import CriticalProfile
 from .errors import GridExhausted, LatticeError
-from .models import DiscreteFinite, ExplicitFinite, OffspringLaw
-
-# Kill lines at non-integer levels round to the strictest integer constraint
-# (ceil for lower bounds); the 1e-9 nudge keeps near-integer thresholds
-# inclusive, matching the Monte Carlo engine's boundary tolerance.
-BARRIER_NUDGE = 1e-9
+from .models import BOUNDARY_TOL, DiscreteFinite, ExplicitFinite, OffspringLaw
 
 
 @dataclass(frozen=True)
 class LatticeLaw:
     """Integer-displacement view of an offspring law.
 
-    Product-structured laws carry the offspring pgf and the integer step
-    pmf; explicit laws keep their atomic outcomes, since displacements
-    within one brood are then dependent.
+    Every law carries its offspring pgf.  Product-structured laws add the
+    integer step pmf; explicit laws keep their atomic outcomes, since
+    displacements within one brood are then dependent.
     """
 
-    law: OffspringLaw
-    pgf_coeffs: tuple[float, ...] | None
+    pgf_coeffs: tuple[float, ...]
     step_values: tuple[int, ...]
     step_probs: tuple[float, ...] | None
     outcomes: tuple[tuple[tuple[int, ...], float], ...] | None
@@ -45,19 +39,18 @@ class LatticeLaw:
     def from_law(cls, law: OffspringLaw) -> "LatticeLaw":
         if not models.is_lattice(law):
             raise LatticeError("exact DP requires finite integer displacements")
+        pmf = models.offspring_pmf(law)
+        coeffs = [0.0] * (max(k for k, _ in pmf) + 1)
+        for k, p in pmf:
+            coeffs[k] += p
         if isinstance(law, ExplicitFinite):
             outs = tuple((tuple(int(round(d)) for d in ds), p) for ds, p in law.outcomes)
             values = tuple(sorted({d for ds, _ in outs for d in ds}))
-            return cls(law, None, values, None, outs)
-        pmf = models.offspring_pmf(law)
-        kmax = max(k for k, _ in pmf)
-        coeffs = [0.0] * (kmax + 1)
-        for k, p in pmf:
-            coeffs[k] += p
+            return cls(tuple(coeffs), values, None, outs)
         step = models.step_law(law)
         assert isinstance(step, DiscreteFinite)
         values = tuple(int(round(v)) for v in step.values)
-        return cls(law, tuple(coeffs), values, tuple(step.probs), None)
+        return cls(tuple(coeffs), values, tuple(step.probs), None)
 
     @property
     def u_min(self) -> int:
@@ -69,9 +62,10 @@ class LatticeLaw:
 
 
 def _lower_bounds(c: float, n: int) -> np.ndarray:
-    """Integer lower bounds ceil(c*i - nudge) for i = 1..n."""
+    """Integer lower bounds ceil(c*i - BOUNDARY_TOL) for i = 1..n: the strictest
+    integer constraint, with near-integer thresholds kept inclusive."""
     i = np.arange(1, n + 1, dtype=np.float64)
-    return np.ceil(c * i - BARRIER_NUDGE).astype(np.int64)
+    return np.ceil(c * i - BOUNDARY_TOL).astype(np.int64)
 
 
 def exact_path_survival(ll: LatticeLaw, n: int, *, v_slope: float | None = None,
@@ -99,48 +93,48 @@ def exact_path_survival(ll: LatticeLaw, n: int, *, v_slope: float | None = None,
 
     lower = _lower_bounds(c, n)
     u_min, u_max = ll.u_min, ll.u_max
-    steps = np.array(ll.step_values, dtype=np.int64)
+    coeffs = np.asarray(ll.pgf_coeffs)
 
     def window(j: int) -> tuple[int, int]:
+        """Alive sums [lo, hi] at level j; empty (lo = hi + 1) once the line
+        outruns every lineage."""
+        hi = j * u_max
         lo = max(int(lower[j - 1]), j * u_min) if j >= 1 else 0
-        return lo, j * u_max
+        return min(lo, hi + 1), hi
 
     # Q over the alive window at level j+1; starts at the leaves (survive).
     lo1, hi1 = window(n)
-    q_next = np.zeros(max(hi1 - lo1 + 1, 0))
+    q_next = np.zeros(hi1 - lo1 + 1)
 
     for j in range(n - 1, -1, -1):
         lo, hi = window(j)
-        if lo > hi:  # barrier already unreachable at this level
-            q_next = np.empty(0)
-            lo1, hi1 = lo, hi
-            continue
-        s = np.arange(lo, hi + 1, dtype=np.int64)
+        width = hi - lo + 1
+        # Children of sums lo..hi land in [lo + u_min, hi1], as hi + u_max == hi1:
+        # killed (1.0) below lo1, Q from lo1 on; step y reads sums lo+y..hi+y.
+        # base < lo + u_min only where rounding of the kill line lifts
+        # lower[j - 1] by one, so that lo1 < lo + u_min.
+        base = min(lo + u_min, lo1)
+        fail = np.ones(hi1 - base + 1)
+        fail[lo1 - base:] = q_next
 
         def child_fail(y: int) -> np.ndarray:
-            su = s + y
-            dead = su < lo1
-            if q_next.size == 0:
-                return np.ones_like(su, dtype=np.float64)
-            idx = np.clip(su - lo1, 0, q_next.size - 1)
-            return np.where(dead, 1.0, q_next[idx])
+            return fail[lo + y - base: lo + y - base + width]
 
         if ll.outcomes is None:
-            w = np.zeros(s.size)
-            for y, qy in zip(steps, ll.step_probs):
-                w += qy * child_fail(int(y))
-            q = npoly.polyval(w, np.asarray(ll.pgf_coeffs))
+            w = np.zeros(width)
+            for y, qy in zip(ll.step_values, ll.step_probs):
+                w += qy * child_fail(y)
+            q = npoly.polyval(w, coeffs)
         else:
-            fail_by_step = {int(y): child_fail(int(y)) for y in steps}
-            q = np.zeros(s.size)
+            q = np.zeros(width)
             for ds, p in ll.outcomes:
-                prod = np.ones(s.size)
+                prod = np.ones(width)
                 for d in ds:
-                    prod = prod * fail_by_step[d]
+                    prod = prod * child_fail(d)
                 q += p * prod
         q_next, lo1, hi1 = q, lo, hi
 
-    return float(1.0 - q_next[0 - lo1])
+    return float(1.0 - q_next[0])
 
 
 def exact_corridor_walk(step_values, step_probs, lower, upper,
@@ -211,13 +205,7 @@ def rho_limit(ll: LatticeLaw, profile: CriticalProfile, v_slope: float,
 
 def gw_survival_to_n(ll: LatticeLaw, n: int) -> float:
     """P{generation n is non-empty} with no barrier, by pgf iteration."""
-    if ll.pgf_coeffs is not None:
-        coeffs = np.asarray(ll.pgf_coeffs)
-    else:
-        pmf = models.offspring_pmf(ll.law)
-        coeffs = np.zeros(max(k for k, _ in pmf) + 1)
-        for k, p in pmf:
-            coeffs[k] += p
+    coeffs = np.asarray(ll.pgf_coeffs)
     q = 0.0
     for _ in range(n):
         q = float(npoly.polyval(q, coeffs))
@@ -226,5 +214,5 @@ def gw_survival_to_n(ll: LatticeLaw, n: int) -> float:
 
 __all__ = [
     "LatticeLaw", "exact_path_survival", "exact_corridor_walk",
-    "rho_limit", "gw_survival_to_n", "BARRIER_NUDGE",
+    "rho_limit", "gw_survival_to_n",
 ]

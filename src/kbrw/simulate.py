@@ -21,13 +21,10 @@ import numpy as np
 from . import models
 from .analysis import CriticalProfile
 from .errors import GridExhausted
+from .models import BOUNDARY_TOL
 from .rng import StreamPool
 from .stats import wilson_interval
 from .transform import VLaw, barrier_map
-
-# Positions within 1e-9 of the kill line count as alive; the exact-DP oracle
-# uses the same inclusive convention when rounding its integer barrier.
-BOUNDARY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -279,5 +276,5 @@ def simulate_G(vlaw: VLaw, params: GwEmbedParams, replicates: int, seed: int = 0
 __all__ = [
     "BarrierSpec", "SurvivalEstimate", "GwEmbedParams",
     "run_killed_brw", "estimate_rho", "escape_cap_sweep",
-    "estimate_M_kappa", "simulate_G", "BOUNDARY_TOL",
+    "estimate_M_kappa", "simulate_G",
 ]

@@ -134,13 +134,6 @@ def sample_spine_paths(sp: SpineLaw, n: int, k: int, rng: np.random.Generator
     return np.cumsum(inc, axis=1), nu
 
 
-def sample_spine_path(sp: SpineLaw, n: int, rng: np.random.Generator
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """One spine path; arrays (S_1..S_n) and (nu_0..nu_{n-1})."""
-    s, nu = sample_spine_paths(sp, n, 1, rng)
-    return s[0], nu[0]
-
-
 # ---------------------------------------------------------------------------
 # functional library
 
@@ -149,7 +142,6 @@ class PathFunctional:
     """Bounded functional of (path, child counts), from the fixed library."""
 
     name: str
-    bivariate: bool
     label: str
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -167,29 +159,29 @@ def functional(name: str, **params) -> PathFunctional:
     below_line_maxnu(slope, r)   below_line times 1{nu_{i-1} <= r for all i}
     """
     if name == "one":
-        return PathFunctional("one", False, "1", lambda s, nu: np.ones(s.shape[0]))
+        return PathFunctional("one", "1", lambda s, nu: np.ones(s.shape[0]))
     if name == "below_line":
         slope = params["slope"]
         def below(s, nu, slope=slope):
             i = np.arange(1, s.shape[1] + 1)
             return np.all(s <= slope * i, axis=1).astype(np.float64)
-        return PathFunctional("below_line", False, f"1{{S_i <= {slope}*i}}", below)
+        return PathFunctional("below_line", f"1{{S_i <= {slope}*i}}", below)
     if name == "band":
         w = params["half_width"]
         def band(s, nu, w=w):
             return np.all(np.abs(s) <= w, axis=1).astype(np.float64)
-        return PathFunctional("band", False, f"1{{|S_i| <= {w}}}", band)
+        return PathFunctional("band", f"1{{|S_i| <= {w}}}", band)
     if name == "exp_capped":
         u, cap = params.get("u", 1.0), params.get("cap", 2.0)
         def expc(s, nu, u=u, cap=cap):
             return np.exp(np.minimum(u * s[:, -1], cap))
-        return PathFunctional("exp_capped", False, f"exp(min({u}*S_n, {cap}))", expc)
+        return PathFunctional("exp_capped", f"exp(min({u}*S_n, {cap}))", expc)
     if name == "below_line_maxnu":
         slope, r = params["slope"], params["r"]
         def blmn(s, nu, slope=slope, r=r):
             i = np.arange(1, s.shape[1] + 1)
             return (np.all(s <= slope * i, axis=1) & np.all(nu <= r, axis=1)).astype(np.float64)
-        return PathFunctional("below_line_maxnu", True,
+        return PathFunctional("below_line_maxnu",
                               f"1{{S_i <= {slope}*i, nu <= {r}}}", blmn)
     raise ValueError(f"unknown functional id {name!r}")
 
@@ -375,7 +367,7 @@ def many_to_one_check(law: OffspringLaw, vlaw: VLaw, sp: SpineLaw, n: int,
 
 
 __all__ = [
-    "SpineLaw", "make_spine", "sample_spine_path", "sample_spine_paths",
+    "SpineLaw", "make_spine", "sample_spine_paths",
     "PathFunctional", "functional", "default_library",
     "expected_leaf_sum_exact", "tree_many_to_one_lhs", "spine_many_to_one_rhs",
     "CheckReport", "many_to_one_check",

@@ -1,5 +1,8 @@
 import json
 import math
+import multiprocessing
+import time
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,7 @@ from kbrw.cli import (EXIT_NO_CRITICAL_POINT, EXIT_OK, EXIT_VALIDATION,
 from kbrw.models import BinaryBernoulli, ExplicitFinite, ProductLaw
 
 P0 = 0.0669872981077807
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _write(tmp_path, name, config):
@@ -218,6 +222,32 @@ def test_survival_time_budget_exit_code(tmp_path):
     config["time_budget_s"] = 1e-9
     cfg = _write(tmp_path, "s10.json", config)
     assert main(["survival", "--config", cfg]) == EXIT_BUDGET
+
+
+@pytest.mark.parametrize("threads", [["--threads", "1"], []])
+def test_survival_time_budget_stops_the_run(tmp_path, threads):
+    # the shipped grid takes well over 10 s; the alarm must stop it, the
+    # pool's workers included, and leave no CSV behind
+    from kbrw.cli import EXIT_BUDGET
+    config = json.loads((CONFIGS / "survival_binary.json").read_text())
+    config["time_budget_s"] = 0.5
+    cfg = _write(tmp_path, "sb.json", config)
+    out = tmp_path / "sb.csv"
+    started = time.perf_counter()
+    assert main(["survival", "--config", cfg, "--out", str(out), *threads]) == EXIT_BUDGET
+    assert time.perf_counter() - started < 5.0
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_mogulskii_time_budget_exit_code(tmp_path):
+    from kbrw.cli import EXIT_BUDGET
+    config = json.loads((CONFIGS / "mogulskii_lazy.json").read_text())
+    config["time_budget_s"] = 0.2
+    cfg = _write(tmp_path, "mb.json", config)
+    out = tmp_path / "mb.csv"
+    assert main(["mogulskii", "--config", cfg, "--out", str(out)]) == EXIT_BUDGET
+    assert not out.exists()
 
 
 def test_pemantle_depth_cap_exit_code(tmp_path):

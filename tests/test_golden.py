@@ -1,4 +1,5 @@
-"""Golden outputs: exact values of the Monte Carlo routes at fixed seeds.
+"""Golden outputs: exact values of the Monte Carlo routes at fixed seeds and
+of the exact oracles they are judged against.
 
 A refactor that claims to keep every output must keep these bit for bit,
 so each value is compared with ``==``.  They were recorded with numpy 2.4.6
@@ -14,15 +15,21 @@ import math
 
 from kbrw.analysis import solve_tstar
 from kbrw.cli import main
-from kbrw.models import BinaryBernoulli, DiscreteFinite, Gaussian, ProductLaw
+from kbrw.models import BinaryBernoulli, DiscreteFinite, ExplicitFinite, Gaussian, ProductLaw
 from kbrw.mogulskii import (ArraySpec, CorridorSpec, brownian_corridor_mc,
-                            triangular_experiment)
+                            corridor_constant, triangular_experiment)
+from kbrw.oracle import LatticeLaw, exact_path_survival, gw_survival_to_n, rho_limit
 from kbrw.simulate import GwEmbedParams, escape_cap_sweep, estimate_M_kappa, simulate_G
 from kbrw.spine import functional, make_spine, spine_many_to_one_rhs, tree_many_to_one_lhs
-from kbrw.transform import make_vlaw
+from kbrw.transform import barrier_map, make_vlaw
 
 MIXED = ProductLaw(((0, 0.2), (1, 0.3), (2, 0.3), (3, 0.2)),
                    DiscreteFinite(((0.0, 0.5), (1.0, 0.5))))
+# steps {-1, 0, 2}: the DP window grows by 2 and shrinks by 1 per level
+SKEWED = ProductLaw(((0, 0.1), (1, 0.3), (2, 0.4), (3, 0.2)),
+                    DiscreteFinite(((-1.0, 0.3), (0.0, 0.3), (2.0, 0.4))))
+# atomic broods with an empty one, so the embedded GW process can die out
+EXPLICIT = ExplicitFinite((((), 0.25), ((0.0, 1.0), 0.45), ((-1.0, 1.0, 2.0), 0.3)))
 
 
 def _vlaw(law):
@@ -77,3 +84,38 @@ def test_gaussian_spine_corridor_row():
                                  seed=10)
     assert (row.method, row.prob, row.endpoint_prob) == \
         ("mc", 0.17995714285714284, 0.03768571428571429)
+
+
+def test_exact_path_survival():
+    # u_line 3.0 is above every step, so the kill line is unreachable; the
+    # 4.4e-16 at u_line 0.95 is the one-ulp floor of 1 - Q (true value ~7.7e-40)
+    lines = (-0.5, 0.0, 0.77, 0.95, 3.0)
+    expected = {
+        BinaryBernoulli(0.3): [1.0, 1.0, 0.02878719570611943, 4.440892098500626e-16, 0.0],
+        SKEWED: [0.6906468155213747, 0.6494823921806246, 0.31324182073631046,
+                 0.2887147625900418, -2.220446049250313e-16],
+        EXPLICIT: [0.6833977214147069, 0.6803893097097766, 0.45659262070661555,
+                   0.42327579071382515, 0.0],
+    }
+    for law, values in expected.items():
+        ll = LatticeLaw.from_law(law)
+        assert [exact_path_survival(ll, 300, u_line=c) for c in lines] == values
+
+
+def test_rho_limit_on_pemantle_grid():
+    law = BinaryBernoulli(0.3)
+    ll, profile = LatticeLaw.from_law(law), solve_tstar(law)
+    got = [rho_limit(ll, profile, barrier_map(e, profile))
+           for e in (0.02, 0.01, 0.005, 0.003)]
+    assert got == [(0.0001348946265405937, 1024), (2.88369815082401e-06, 4096),
+                   (1.3223588890554083e-08, 8192), (7.395506429475063e-11, 32768)]
+
+
+def test_gw_survival_to_n():
+    assert gw_survival_to_n(LatticeLaw.from_law(EXPLICIT), 50) == 0.7021520315827742
+    assert gw_survival_to_n(LatticeLaw.from_law(SKEWED), 50) == 0.8416876048223001
+
+
+def test_corridor_constant_flat_strip():
+    spec = CorridorSpec.from_functions(lambda t: -1.0, lambda t: 1.0, math.sqrt(2 / 3))
+    assert corridor_constant(spec) == -0.8224670334241131

@@ -241,3 +241,14 @@ def test_lemma46_direction_and_floor(law_mixed_offspring):
     bound = -prof.beta_V
     assert vals[-1] > 1.5 * bound  # not wildly below the limit bound
     assert all(v < 0 for v in vals)
+
+
+def test_dp_kill_line_rounding_lifts_one_level():
+    # With c a few ulps above u_min = -60, rounding of c*i - 1e-9 lifts the
+    # lower bound at level 1092 by one (-65519) but not at level 1093
+    # (-65580), so the next window starts below lo + u_min there.  The line kills nothing that
+    # matters at this depth, so the value is the GW survival 1 - 3/7.
+    law = ProductLaw(((0, 0.3), (2, 0.7)),
+                     DiscreteFinite(((-60.0, 0.01), (0.0, 0.49), (1.0, 0.5))))
+    ll = LatticeLaw.from_law(law)
+    assert exact_path_survival(ll, 1100, u_line=-59.99999999999908) == 0.5714285714285715

@@ -6,8 +6,7 @@ import pytest
 from kbrw.analysis import solve_tstar
 from kbrw.rng import replicate_stream
 from kbrw.spine import (default_library, expected_leaf_sum_exact, functional,
-                        make_spine, many_to_one_check, sample_spine_path,
-                        sample_spine_paths)
+                        make_spine, many_to_one_check, sample_spine_paths)
 from kbrw.transform import make_vlaw
 
 
@@ -39,11 +38,11 @@ def test_exponential_moment_witnesses(spine_p03, law_gaussian):
 
 
 def test_single_path_support(spine_p03, profile_p03):
-    s, nu = sample_spine_path(spine_p03, 1, replicate_stream(3, 0))
+    s, nu = sample_spine_paths(spine_p03, 1, 1, replicate_stream(3, 0))
     lo = profile_p03.psi_tstar - profile_p03.t_star
     hi = profile_p03.psi_tstar
-    assert s[0] == pytest.approx(lo) or s[0] == pytest.approx(hi)
-    assert nu[0] == 2
+    assert s[0, 0] == pytest.approx(lo) or s[0, 0] == pytest.approx(hi)
+    assert nu[0, 0] == 2
 
 
 def test_empirical_mean_and_variance(spine_p03, profile_p03):
