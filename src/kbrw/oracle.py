@@ -3,9 +3,18 @@
 Ground truth for everything the Monte Carlo engine estimates: the
 probability that some lineage of length n stays above a linear kill line,
 and the probability that a single random walk stays inside an integer
-corridor.  Both recursions manipulate probabilities as convex combinations
-and products only, so plain double precision is exact to rounding in the
-regimes of interest (values stay above ~1e-300).
+corridor.  Both recursions use convex combinations and products only, but
+their double-precision floors differ:
+
+- the path DP returns 1 - Q from extinction probabilities Q, so its error
+  is absolute, about one ulp of 1 (1.1e-16): a value near 1e-13 keeps
+  three digits and one below 1e-16 none.  A kill line that no lineage can
+  follow gives exactly 0.
+- the corridor DP carries probabilities forward, so its error is relative
+  until they underflow below about 1e-308, where it returns 0.  It works
+  run by run: the levels of a run share their bounds and so one transfer
+  matrix T, and a long run is applied as binary powers of T**64 where that
+  costs less than one slice step per level.
 """
 
 from __future__ import annotations
@@ -93,14 +102,15 @@ def exact_path_survival(ll: LatticeLaw, n: int, *, v_slope: float | None = None,
 
     lower = _lower_bounds(c, n)
     u_min, u_max = ll.u_min, ll.u_max
+    if np.any(lower > np.arange(1, n + 1) * u_max):
+        # the line outruns every lineage: exactly zero, where 1 - Q would
+        # land within an ulp of it on either side
+        return 0.0
     coeffs = np.asarray(ll.pgf_coeffs)
 
     def window(j: int) -> tuple[int, int]:
-        """Alive sums [lo, hi] at level j; empty (lo = hi + 1) once the line
-        outruns every lineage."""
-        hi = j * u_max
-        lo = max(int(lower[j - 1]), j * u_min) if j >= 1 else 0
-        return min(lo, hi + 1), hi
+        """Alive sums [lo, hi] at level j."""
+        return (max(int(lower[j - 1]), j * u_min) if j >= 1 else 0), j * u_max
 
     # Q over the alive window at level j+1; starts at the leaves (survive).
     lo1, hi1 = window(n)
@@ -137,6 +147,57 @@ def exact_path_survival(ll: LatticeLaw, n: int, *, v_slope: float | None = None,
     return float(1.0 - q_next[0])
 
 
+# Powers of a window's transfer matrix T start from T**_BLOCK, built by
+# _BLOCK slice steps on the identity.  Squaring from T itself rounds T**2
+# once and raises that error to the power levels/2: on the lazy strip at
+# n = 1e6 that is 15x the slice steps' own error; from T**64 on, the
+# squarings add less than the slice steps do.
+_BLOCK = 64
+# Costs in multiply-adds of an einsum matrix product: a slice step costs
+# about _SLICE_COST per step value (numpy call overhead), plus about 8 per
+# entry when it moves a matrix.
+_SLICE_COST = 10_000
+
+
+def _slice_step(dist, lo, hi, nlo, nhi, steps, probs):
+    """One level of the walk for each row of ``dist``: mass on [lo, hi]
+    moved onto the window [nlo, nhi]."""
+    new = np.zeros(dist.shape[:-1] + (nhi - nlo + 1,))
+    for y, qy in zip(steps, probs):
+        # old states s contribute to s+y; keep the part landing inside
+        src_lo = max(lo, nlo - y)
+        src_hi = min(hi, nhi - y)
+        if src_lo <= src_hi:
+            new[..., src_lo + y - nlo: src_hi + y - nlo + 1] += \
+                qy * dist[..., src_lo - lo: src_hi - lo + 1]
+    return new
+
+
+def _powering_pays(levels: int, width: int, n_steps: int) -> bool:
+    """Whether all but levels % _BLOCK of ``levels`` levels in one window go
+    faster as powers of T**_BLOCK: building it, then about
+    bit_length(levels // _BLOCK) products of width**3 multiply-adds."""
+    blocks = levels // _BLOCK
+    build = _BLOCK * n_steps * (_SLICE_COST + 8 * width ** 2)
+    return build + blocks.bit_length() * width ** 3 < blocks * _BLOCK * n_steps * _SLICE_COST
+
+
+def _power_step(dist, lo, hi, steps, probs, blocks):
+    """dist @ (T**_BLOCK)**blocks in the window [lo, hi], by binary powering.
+    einsum without ``optimize`` sums in one fixed order, so the result does
+    not depend on the BLAS thread count."""
+    t = np.eye(hi - lo + 1)
+    for _ in range(_BLOCK):
+        t = _slice_step(t, lo, hi, lo, hi, steps, probs)
+    while True:
+        if blocks & 1:
+            dist = np.einsum("i,ij->j", dist, t)
+        blocks >>= 1
+        if not blocks:
+            return dist
+        t = np.einsum("ij,jk->ik", t, t)
+
+
 def exact_corridor_walk(step_values, step_probs, lower, upper,
                         endpoint: tuple[int, int] | None = None
                         ) -> tuple[float, float | None]:
@@ -144,36 +205,42 @@ def exact_corridor_walk(step_values, step_probs, lower, upper,
 
     Bounds are inclusive; an empty corridor at some level gives probability
     zero (not an error).  Forward DP over the occupation measure restricted
-    to the corridor.  Returns ``(prob, endpoint_prob)``: the second value
-    further restricts S_n to the window ``endpoint`` and is read off the
-    same pass, or is None when no window is given.
+    to the corridor, run by run: a run of r levels with the same bounds
+    takes one slice step into its window; the other r - 1 levels are slice
+    steps too, or, where that is cheaper, mostly one power of the window's
+    transfer matrix.  Returns ``(prob, endpoint_prob)``: the second value further restricts
+    S_n to the window ``endpoint`` and is read off the same pass, or is
+    None when no window is given.
     """
-    steps = np.asarray(step_values, dtype=np.int64)
-    probs = np.asarray(step_probs, dtype=np.float64)
+    steps = [int(y) for y in np.asarray(step_values, dtype=np.int64)]
+    probs = [float(q) for q in np.asarray(step_probs, dtype=np.float64)]
     lower = np.asarray(lower, dtype=np.int64)
     upper = np.asarray(upper, dtype=np.int64)
     if lower.shape != upper.shape:
         raise ValueError("corridor arrays must have equal length")
     empty = (0.0, None if endpoint is None else 0.0)
+    if np.any(lower > upper):
+        return empty
     n = lower.size
+    # the levels s..e-1 of a run share their bounds
+    ends = (np.flatnonzero((lower[1:] != lower[:-1]) | (upper[1:] != upper[:-1])) + 1).tolist()
+    if n:
+        ends.append(n)
     dist = np.ones(1)
-    lo = hi = 0
-    for i in range(n):
-        nlo, nhi = int(lower[i]), int(upper[i])
-        if nlo > nhi:
-            return empty
-        new = np.zeros(nhi - nlo + 1)
-        for y, qy in zip(steps, probs):
-            # old states s contribute to s+y; keep the part landing inside
-            src_lo = max(lo, nlo - int(y))
-            src_hi = min(hi, nhi - int(y))
-            if src_lo > src_hi:
-                continue
-            new[src_lo + int(y) - nlo: src_hi + int(y) - nlo + 1] += \
-                qy * dist[src_lo - lo: src_hi - lo + 1]
-        dist, lo, hi = new, nlo, nhi
+    lo = hi = s = 0
+    for e in ends:
+        nlo, nhi = int(lower[s]), int(upper[s])
+        dist = _slice_step(dist, lo, hi, nlo, nhi, steps, probs)
+        lo, hi = nlo, nhi
+        levels = e - s - 1
+        if _powering_pays(levels, hi - lo + 1, len(steps)):
+            dist = _power_step(dist, lo, hi, steps, probs, levels // _BLOCK)
+            levels %= _BLOCK
+        for _ in range(levels):
+            dist = _slice_step(dist, lo, hi, lo, hi, steps, probs)
         if not dist.any():
             return empty
+        s = e
     prob = float(dist.sum())
     if endpoint is None:
         return prob, None

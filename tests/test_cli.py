@@ -242,8 +242,14 @@ def test_survival_time_budget_stops_the_run(tmp_path, threads):
 
 def test_mogulskii_time_budget_exit_code(tmp_path):
     from kbrw.cli import EXIT_BUDGET
-    config = json.loads((CONFIGS / "mogulskii_lazy.json").read_text())
-    config["time_budget_s"] = 0.2
+    # the spine walk's bounds move almost every level, so its corridor DP runs
+    # one slice step per level, about a second at this n; the shipped lazy
+    # config is a few long runs and finishes inside the budget
+    config = {"seed": 3, "law": {"type": "binary_bernoulli", "p": 0.3},
+              "corridor": {"g1": {"type": "affine", "intercept": -1.0},
+                           "g2": {"type": "affine", "intercept": 1.0},
+                           "sigma": 0.9242681859919269},
+              "family": {"type": "spine"}, "n_list": [100_000], "time_budget_s": 0.2}
     cfg = _write(tmp_path, "mb.json", config)
     out = tmp_path / "mb.csv"
     assert main(["mogulskii", "--config", cfg, "--out", str(out)]) == EXIT_BUDGET

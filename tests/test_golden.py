@@ -87,19 +87,29 @@ def test_gaussian_spine_corridor_row():
 
 
 def test_exact_path_survival():
-    # u_line 3.0 is above every step, so the kill line is unreachable; the
-    # 4.4e-16 at u_line 0.95 is the one-ulp floor of 1 - Q (true value ~7.7e-40)
+    # u_line 3.0 is above every step, so the kill line is unreachable and the
+    # value is exactly 0; the 4.4e-16 at u_line 0.95 is the one-ulp floor of
+    # 1 - Q (true value ~7.7e-40)
     lines = (-0.5, 0.0, 0.77, 0.95, 3.0)
     expected = {
         BinaryBernoulli(0.3): [1.0, 1.0, 0.02878719570611943, 4.440892098500626e-16, 0.0],
         SKEWED: [0.6906468155213747, 0.6494823921806246, 0.31324182073631046,
-                 0.2887147625900418, -2.220446049250313e-16],
+                 0.2887147625900418, 0.0],
         EXPLICIT: [0.6833977214147069, 0.6803893097097766, 0.45659262070661555,
                    0.42327579071382515, 0.0],
     }
     for law, values in expected.items():
         ll = LatticeLaw.from_law(law)
         assert [exact_path_survival(ll, 300, u_line=c) for c in lines] == values
+
+
+def test_unreachable_kill_line_is_exactly_zero():
+    # 1 - Q once gave -2.2e-16 here for SKEWED: its pgf sums to 1 + 2.2e-16
+    for law in (BinaryBernoulli(0.3), SKEWED, EXPLICIT):
+        ll = LatticeLaw.from_law(law)
+        for n in (1, 2, 7, 64, 300):
+            for c in (ll.u_max + 0.5, 3.0):
+                assert exact_path_survival(ll, n, u_line=c) == 0.0
 
 
 def test_rho_limit_on_pemantle_grid():

@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 from functools import lru_cache
 from itertools import product
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
+from kbrw import mogulskii, oracle
 from kbrw.analysis import solve_tstar
 from kbrw.errors import LatticeError
 from kbrw.models import DiscreteFinite, ProductLaw
@@ -178,6 +184,136 @@ def test_corridor_against_exhaustive_paths():
                                   endpoint=(1, a))
     lit_e = (ok & (s[:, -1] >= 1)).mean()
     assert dp_e == pytest.approx(float(lit_e), rel=1e-13)
+
+
+def _level_dp(steps, probs, lower, upper, endpoint=None):
+    """Reference corridor DP: one explicit pass per level."""
+    dist, lo = np.ones(1), 0
+    for nlo, nhi in zip(lower, upper):
+        new = np.zeros(max(nhi - nlo + 1, 0))
+        for y, q in zip(steps, probs):
+            for s, mass in enumerate(dist, start=lo):
+                if nlo <= s + y <= nhi:
+                    new[s + y - nlo] += q * mass
+        dist, lo = new, nlo
+    end = None if endpoint is None else \
+        dist[max(endpoint[0] - lo, 0): max(endpoint[1] - lo + 1, 0)].sum()
+    return dist.sum(), end
+
+
+def _lazy_strip_expansion(n, m, window):
+    """P{lazy walk stays in [-m, m] for n steps, and ends in ``window``} from the
+    eigen-expansion of its symmetric tridiagonal transfer matrix, 50 digits.
+
+    Each step probability is the double nearest 1/3, as passed to the DP:
+    three of them sum to 1 - 5.6e-17, a leak of 5.6e-11 relative by
+    n = 1e6, more than the DP's own rounding, so exact thirds would not do.
+    """
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    w, q = 2 * m + 1, mp.mpf(1 / 3)
+
+    def sin_sum(a, b, th):  # sum of sin(j th) for j = a..b
+        half = mp.mpf(0.5)
+        return (mp.cos((a - half) * th) - mp.cos((b + half) * th)) / (2 * mp.sin(th / 2))
+
+    total = end = mp.mpf(0)
+    for k in range(1, w + 1):
+        th = k * mp.pi / (w + 1)
+        c = 2 * mp.sin((m + 1) * th) / (w + 1) * (q * (1 + 2 * mp.cos(th))) ** n
+        total += c * sin_sum(1, w, th)
+        end += c * sin_sum(window[0] + m + 1, window[1] + m + 1, th)
+    return float(total), float(end)
+
+
+@pytest.mark.parametrize("n", [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6])
+def test_corridor_lazy_strip_closed_form(n):
+    m = math.floor(np.cbrt(n) + 1e-9)
+    window = ((m + 1) // 2, m)
+    p, pe = exact_corridor_walk([-1, 0, 1], [1 / 3] * 3, np.full(n, -m), np.full(n, m),
+                                endpoint=window)
+    ref, ref_e = _lazy_strip_expansion(n, m, window)
+    assert abs(p - ref) <= 2e-11 * ref
+    assert abs(pe - ref_e) <= 2e-11 * ref_e
+
+
+def _spied_corridor(monkeypatch, arr, spec, n, endpoint_b):
+    """_lattice_corridor_prob's result and the arguments it passed to the DP."""
+    calls = []
+    real = oracle.exact_corridor_walk
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "exact_corridor_walk", spy)
+    got = mogulskii._lattice_corridor_prob(arr, spec, n, endpoint_b)
+    (steps, probs, lower, upper), kwargs = calls[-1]
+    return got, (list(steps), list(probs), lower.tolist(), upper.tolist(), kwargs["endpoint"])
+
+
+def _run_lengths(lower, upper):
+    edges = np.flatnonzero(np.diff(lower) | np.diff(upper)) + 1
+    return np.diff(np.concatenate(([0], edges, [len(lower)])))
+
+
+def test_corridor_runs_against_level_dp(monkeypatch, spine_p03):
+    C = mogulskii.CorridorSpec
+    lazy = mogulskii.ArraySpec.lazy_walk()
+    skew = mogulskii.ArraySpec.lattice(((-1, 0.3), (0, 0.3), (2, 0.4)))
+    cases = [
+        (lazy, C.from_functions(lambda t: -1 + 0.3 * t, lambda t: 2 - 0.4 * t, 0.8), 8000, 0.5),
+        (lazy, C.from_functions(lambda t: -1 - t, lambda t: 1 + t, 0.8), 3000, None),
+        (skew, C((0.0, 0.3, 0.31, 0.7, 1.0), (-1.0, -0.5, -0.5, -1.2, -0.8),
+                 (1.0, 1.5, 3.0, 0.6, 1.1), 1.2), 8000, 0.3),
+        (mogulskii.ArraySpec.from_spine(spine_p03),
+         C.from_functions(lambda t: -1 + 0.2 * t, lambda t: 1 - 0.3 * t, 0.9), 2000, 0.5),
+    ]
+    lengths = []
+    for arr, spec, n, b in cases:
+        (p, pe), args = _spied_corridor(monkeypatch, arr, spec, n, b)
+        ref, ref_e = _level_dp(*args)
+        assert p == pytest.approx(ref, rel=1e-12, abs=0.0)
+        if b is not None:
+            assert pe == pytest.approx(ref_e, rel=1e-12, abs=0.0)
+        lengths.extend(_run_lengths(args[2], args[3]))
+    # runs of one level up to runs of a thousand, so both paths run
+    assert min(lengths) == 1 and max(lengths) >= 1000
+
+
+def test_corridor_long_runs_with_empty_level():
+    lower = np.concatenate([np.full(900, -5), [3], np.full(900, -5)])
+    upper = np.concatenate([np.full(900, 5), [2], np.full(900, 5)])
+    assert exact_corridor_walk([-1, 1], [0.5, 0.5], lower, upper, endpoint=(0, 5)) == (0.0, 0.0)
+    # the same corridor without the empty level matches the reference
+    lower[900], upper[900] = -1, 4
+    got = exact_corridor_walk([-2, 1], [0.25, 0.75], lower, upper, endpoint=(0, 5))
+    ref = _level_dp([-2, 1], [0.25, 0.75], lower.tolist(), upper.tolist(), (0, 5))
+    assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _with_blas_threads(threads, args, cwd):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join([str(_SRC), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, check=True,
+                          capture_output=True, text=True, timeout=300).stdout
+
+
+def test_corridor_power_independent_of_blas_threads(tmp_path):
+    # a 451-state strip over 2e5 levels takes the matrix-power path
+    code = ("import numpy as np; from kbrw.oracle import exact_corridor_walk; "
+            "print(repr(exact_corridor_walk([-1, 0, 1], [1/3] * 3, np.full(200000, -225), "
+            "np.full(200000, 225), endpoint=(100, 225))))")
+    assert _with_blas_threads(1, ["-c", code], tmp_path) == \
+        _with_blas_threads(2, ["-c", code], tmp_path)
+    config = _SRC.parent / "configs" / "mogulskii_lazy.json"
+    for threads in (1, 2):
+        _with_blas_threads(threads, ["-m", "kbrw.cli", "mogulskii", "--config", str(config),
+                                     "--out", f"lazy{threads}.csv"], tmp_path)
+    assert (tmp_path / "lazy1.csv").read_bytes() == (tmp_path / "lazy2.csv").read_bytes()
 
 
 def _recursive_survival_generic(pmf, step_atoms, c, n):
