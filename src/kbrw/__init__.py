@@ -17,7 +17,7 @@ from .mogulskii import (ArraySpec, CorridorSpec, brownian_corridor_mc,
                         corridor_constant, ito_mckean_f, triangular_experiment)
 from .oracle import LatticeLaw, exact_corridor_walk, exact_path_survival, rho_limit
 from .simulate import (BarrierSpec, GwEmbedParams, SurvivalEstimate,
-                       estimate_M_kappa, estimate_rho, run_killed_brw, simulate_G)
+                       estimate_M_kappa, estimate_rho, simulate_G)
 from .spine import (SpineLaw, functional, make_spine, many_to_one_check,
                     sample_spine_paths)
 from .transform import VLaw, barrier_map, make_vlaw
@@ -32,7 +32,7 @@ __all__ = [
     "VLaw", "make_vlaw", "barrier_map",
     "SpineLaw", "make_spine", "sample_spine_paths",
     "functional", "many_to_one_check",
-    "BarrierSpec", "SurvivalEstimate", "GwEmbedParams", "run_killed_brw",
+    "BarrierSpec", "SurvivalEstimate", "GwEmbedParams",
     "estimate_rho", "estimate_M_kappa", "simulate_G",
     "LatticeLaw", "exact_path_survival", "exact_corridor_walk", "rho_limit",
     "CorridorSpec", "corridor_constant", "ito_mckean_f", "brownian_corridor_mc",

@@ -46,7 +46,7 @@ EXIT_VALIDATION = 2
 EXIT_NO_CRITICAL_POINT = 3
 EXIT_BUDGET = 4
 
-CSV_SCHEMA_VERSION = "kbrw.v1"
+CSV_SCHEMA_VERSION = "kbrw.v2"
 
 # ---------------------------------------------------------------------------
 # config schema

@@ -6,9 +6,10 @@ to depth n estimates the finite-depth survival probability; the embedded
 two-phase construction samples the offspring count of the minorizing
 Galton-Watson tree used in the lower-bound argument.
 
-Replicates are independent tasks.  Each owns a Philox stream keyed by
-(seed, replicate index), and every aggregate is a commutative reduction,
-so results are bitwise reproducible regardless of scheduling.
+Every routine advances a chunk of CHUNK replicates at once as flat
+(owner, position) arrays; chunk c reads the Philox stream (seed, c), so
+results are bitwise reproducible regardless of scheduling.  Per-replicate
+results are reductions over the owner index.
 """
 
 from __future__ import annotations
@@ -22,9 +23,14 @@ from . import models
 from .analysis import CriticalProfile
 from .errors import GridExhausted
 from .models import BOUNDARY_TOL
-from .rng import StreamPool
-from .stats import wilson_interval
+from .stats import replicate_chunks, wilson_interval
 from .transform import VLaw, barrier_map
+
+# replicates advanced together; fixed, because it decides which stream a
+# replicate reads
+CHUNK = 64
+# particles one chunk may hold in the unkilled walk of estimate_M_kappa
+POPULATION_GUARD = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -91,50 +97,43 @@ class GwEmbedParams:
         return (1.0 - self.alpha) * self.eps * self.L >= self.M * (self.n - self.L) - 1e-12
 
 
-def _advance(vlaw: VLaw, v: np.ndarray, rng: np.random.Generator
-             ) -> tuple[np.ndarray, np.ndarray]:
+def _advance(vlaw: VLaw, owner: np.ndarray, v: np.ndarray, rng: np.random.Generator
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One generation: every particle at ``v`` reproduces once.
 
-    Returns the children's positions in brood order and the brood sizes,
-    by which callers repeat any per-particle arrays they carry alongside.
+    Returns the children's owners and positions in brood order and the
+    brood sizes, by which callers repeat any other per-particle arrays.
     """
     counts, flat = models.sample_broods(vlaw.base, v.size, rng)
-    return np.repeat(v, counts) + vlaw.v_increment(flat), counts
+    return (np.repeat(owner, counts), np.repeat(v, counts) + vlaw.v_increment(flat),
+            counts)
 
 
-def _killed_population(vlaw: VLaw, v_slope: float, n: int, escape_cap: float,
-                       rng: np.random.Generator) -> tuple[np.ndarray, list[int]]:
-    """Advance the root under the kill line until depth n, extinction or the cap.
+def _killed(vlaw: VLaw, v_slope: float, n: int, escape_cap: float, k: int,
+            rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Advance k roots under the kill line until depth n or extinction.
 
-    Returns the last live population and the population per generation.
+    Returns the (owner, position) arrays of the last live population and
+    each replicate's peak population.  A replicate whose population reaches
+    escape_cap stops drawing and drops its particles; its peak records it.
     """
-    v = np.zeros(1)
-    trace = [1]
+    owner, v = np.arange(k), np.zeros(k)
+    pop = np.ones(k, dtype=np.int64)
+    peak = pop.copy()
     for gen in range(1, n + 1):
-        if v.size == 0 or v.size >= escape_cap:
+        capped = pop >= escape_cap
+        if capped.any():
+            live = ~capped[owner]
+            owner, v = owner[live], v[live]
+        if v.size == 0:
             break
-        child_v, _ = _advance(vlaw, v, rng)
-        v = child_v[child_v <= v_slope * gen + BOUNDARY_TOL]
-        trace.append(v.size)
-    return v, trace
-
-
-def run_killed_brw(vlaw: VLaw, v_slope: float, n: int, escape_cap: float,
-                   rng: np.random.Generator) -> tuple[bool, list[int]]:
-    """One replicate of the killed walk; returns (survived, population trace).
-
-    The trace holds the live population per generation, starting with the
-    root at generation 0.  The
-    escape rule declares survival once the population reaches escape_cap
-    and truncates the replicate (a cap hit is visible in the trace as a
-    final entry >= escape_cap).  The induced bias is one-sided: survival is
-    overestimated by at most the chance that escape_cap barrier-respecting
-    particles all die out, which shrinks as the cap grows.
-    """
-    if not escape_cap >= 1:
-        raise ValueError("escape_cap must be >= 1 (may be math.inf)")
-    v, trace = _killed_population(vlaw, v_slope, n, escape_cap, rng)
-    return v.size > 0, trace
+        owner, v, _ = _advance(vlaw, owner, v, rng)
+        keep = v <= v_slope * gen + BOUNDARY_TOL
+        # compress, not v[keep]: about 3x faster on populations of 10^5 and up
+        owner, v = owner.compress(keep), v.compress(keep)
+        pop = np.bincount(owner, minlength=k)
+        np.maximum(peak, pop, out=peak)
+    return owner, v, peak
 
 
 def estimate_rho(vlaw: VLaw, barrier: BarrierSpec | float, n: int, replicates: int,
@@ -142,9 +141,30 @@ def estimate_rho(vlaw: VLaw, barrier: BarrierSpec | float, n: int, replicates: i
     """Wilson-intervalled survival frequency over independent replicates.
 
     ``barrier`` is either a BarrierSpec or a bare slope in the centered
-    coordinates.  Deterministic for a fixed seed: replicate i draws from
-    the (seed, i) stream whatever the execution order.
+    coordinates.  Deterministic for a fixed seed whatever the execution
+    order.  The escape rule declares a replicate surviving once its
+    population reaches escape_cap and stops it there (a cap hit).  The
+    induced bias is one-sided: survival is overestimated by at most the
+    chance that escape_cap barrier-respecting particles all die out, which
+    shrinks as the cap grows.
     """
+    return escape_cap_sweep(vlaw, barrier, n, replicates, (escape_cap,), seed)[0]
+
+
+def escape_cap_sweep(vlaw: VLaw, barrier: BarrierSpec | float, n: int,
+                     replicates: int, caps, seed: int = 0) -> list[SurvivalEstimate]:
+    """Sensitivity of the survival estimate to the escape cap.
+
+    One set of runs under the largest cap is read at every cap c: a
+    replicate survives under c if it is alive at depth n or its peak
+    population is >= c, and it is a cap hit if its peak is >= c.  The runs
+    are therefore coupled pathwise and the estimates are exactly
+    non-increasing in the cap.  A flat tail across caps certifies the
+    default cap is large enough.
+    """
+    caps = list(caps)
+    if not all(c >= 1 for c in caps):
+        raise ValueError("escape_cap must be >= 1 (may be math.inf)")
     if replicates < 100:
         raise ValueError("need at least 100 replicates")
     if isinstance(barrier, BarrierSpec):
@@ -153,37 +173,25 @@ def estimate_rho(vlaw: VLaw, barrier: BarrierSpec | float, n: int, replicates: i
     else:
         coordinate, slope = "V", float(barrier)
         b = float(barrier)
-    pool = StreamPool(seed)
-    survivors = 0
-    cap_hits = 0
-    for i in range(replicates):
-        survived, trace = run_killed_brw(vlaw, b, n, escape_cap, pool.rekey(i))
-        survivors += survived
-        cap_hits += math.isfinite(escape_cap) and trace[-1] >= escape_cap
-    lo, hi = wilson_interval(survivors, replicates)
-    return SurvivalEstimate(coordinate=coordinate, slope=slope, n=n,
-                            replicates=replicates, survivors=survivors,
-                            p_hat=survivors / replicates, ci_low=lo, ci_high=hi,
-                            cap_hits=cap_hits, seed=seed)
-
-
-def escape_cap_sweep(vlaw: VLaw, barrier: BarrierSpec | float, n: int,
-                     replicates: int, caps, seed: int = 0) -> list[SurvivalEstimate]:
-    """Sensitivity of the survival estimate to the escape cap.
-
-    Each cap reuses the same replicate streams, which couples the runs
-    pathwise: a replicate declared surviving under a larger cap is also
-    declared surviving under any smaller one, so the estimates are exactly
-    non-increasing in the cap.  A flat tail across caps certifies the
-    default cap is large enough.
-    """
-    return [estimate_rho(vlaw, barrier, n, replicates, escape_cap=cap, seed=seed)
-            for cap in caps]
+    alive = np.zeros(replicates, dtype=bool)
+    peak = np.zeros(replicates, dtype=np.int64)
+    for first, k, rng in replicate_chunks(seed, replicates, CHUNK):
+        owner, _, peak[first:first + k] = _killed(vlaw, b, n, max(caps), k, rng)
+        alive[first + owner] = True
+    out = []
+    for cap in caps:
+        cap_hits = int(np.count_nonzero(peak >= cap))
+        survivors = int(np.count_nonzero(alive | (peak >= cap)))
+        lo, hi = wilson_interval(survivors, replicates)
+        out.append(SurvivalEstimate(coordinate=coordinate, slope=slope, n=n,
+                                    replicates=replicates, survivors=survivors,
+                                    p_hat=survivors / replicates, ci_low=lo, ci_high=hi,
+                                    cap_hits=cap_hits, seed=seed))
+    return out
 
 
 def estimate_M_kappa(vlaw: VLaw, j_max: int = 10, replicates: int = 800,
-                     seed: int = 0, grid: np.ndarray | None = None,
-                     population_guard: int = 10_000_000) -> tuple[float, float]:
+                     seed: int = 0, grid: np.ndarray | None = None) -> tuple[float, float]:
     """Empirical displacement-bound constant M and lower-mass kappa.
 
     Finds the smallest grid value M such that the running maximum of the
@@ -198,20 +206,17 @@ def estimate_M_kappa(vlaw: VLaw, j_max: int = 10, replicates: int = 800,
     base = vlaw.base
     prefix_max = np.zeros((replicates, j_max))
     alive = np.zeros((replicates, j_max), dtype=bool)
-    pool = StreamPool(seed)
-    for i in range(replicates):
-        rng = pool.rekey(i)
-        v = np.zeros(1)
-        running = 0.0
-        for j in range(1, j_max + 1):
+    for first, k, rng in replicate_chunks(seed, replicates, CHUNK):
+        owner, v = np.arange(k), np.zeros(k)
+        running = np.zeros(k)
+        for j in range(j_max):
             if v.size:
-                v, _ = _advance(vlaw, v, rng)
-                if v.size > population_guard:
+                owner, v, _ = _advance(vlaw, owner, v, rng)
+                if v.size > POPULATION_GUARD:
                     raise GridExhausted("unkilled population exceeded the guard; lower j_max")
-                if v.size:
-                    running = max(running, float(v.max()))
-            prefix_max[i, j - 1] = running
-            alive[i, j - 1] = v.size > 0
+                np.maximum.at(running, owner, v)
+            prefix_max[first:first + k, j] = running
+            alive[first + owner, j] = True
     if grid is None:
         atoms = models.intensity_atoms(base)
         if atoms is not None:
@@ -246,35 +251,28 @@ def simulate_G(vlaw: VLaw, params: GwEmbedParams, replicates: int, seed: int = 0
         raise ValueError("(1-alpha)*eps*L >= M*(n-L) fails for these parameters")
     phase1_slope = params.alpha * params.eps
     limit = (1.0 - params.alpha) * params.eps * params.L
-    depth2 = params.n - params.L
-    pool = StreamPool(seed)
     out = np.zeros(replicates, dtype=np.int64)
-    for i in range(replicates):
-        rng = pool.rekey(i)
-        v, _ = _killed_population(vlaw, phase1_slope, params.L, math.inf, rng)
-        if v.size == 0:
-            continue
-        # phase 2: per level-L survivor, require every subtree vertex within
-        # `limit` above it; disqualified owners drop out with their subtree
-        owner = np.arange(v.size)
-        delta = np.zeros(v.size)
-        qualified = np.ones(v.size, dtype=bool)
-        for _ in range(depth2):
-            child_delta, counts = _advance(vlaw, delta, rng)
-            child_owner = np.repeat(owner, counts)
-            bad = child_delta > limit + BOUNDARY_TOL
-            if bad.any():
-                qualified[np.unique(child_owner[bad])] = False
-            keep = qualified[child_owner]
-            delta, owner = child_delta[keep], child_owner[keep]
-            if delta.size == 0:
+    for first, k, rng in replicate_chunks(seed, replicates, CHUNK):
+        owner, _, _ = _killed(vlaw, phase1_slope, params.L, math.inf, k, rng)
+        # phase 2: each level-L survivor heads a lineage whose every vertex
+        # must stay within `limit` above it; a disqualified lineage drops out
+        # with its subtree
+        lineage = np.arange(owner.size)
+        delta = np.zeros(owner.size)
+        qualified = np.ones(owner.size, dtype=bool)
+        for _ in range(params.n - params.L):
+            if lineage.size == 0:
                 break
-        out[i] = delta.size
+            lineage, delta, _ = _advance(vlaw, lineage, delta, rng)
+            qualified[lineage[delta > limit + BOUNDARY_TOL]] = False
+            keep = qualified[lineage]
+            lineage, delta = lineage[keep], delta[keep]
+        out[first:first + k] = np.bincount(owner[lineage], minlength=k)
     return out
 
 
 __all__ = [
     "BarrierSpec", "SurvivalEstimate", "GwEmbedParams",
-    "run_killed_brw", "estimate_rho", "escape_cap_sweep",
+    "estimate_rho", "escape_cap_sweep",
     "estimate_M_kappa", "simulate_G",
 ]

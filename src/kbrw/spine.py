@@ -22,15 +22,15 @@ import numpy as np
 from . import models
 from .errors import CertificationError
 from .models import DiscreteFinite, ExplicitFinite, Gaussian, OffspringLaw, ProductLaw
-from .rng import StreamPool
-from .simulate import _advance
-from .stats import chunked_mean, mean_and_stderr
+from .simulate import CHUNK, _advance
+from .stats import chunked_mean
 from .transform import VLaw
 
 MEAN_TOL = 1e-12
 VAR_TOL = 1e-10
-_CHUNK = 8192  # replicate grouping for vectorized sampling; fixed so results
+_CHUNK = 8192  # replicate grouping for spine sampling; fixed so results
                # are independent of scheduling
+_ENUM_BUDGET = 1 << 21   # paths expected_leaf_sum_exact may enumerate
 
 
 @dataclass(frozen=True)
@@ -225,8 +225,7 @@ def _joint_child_atoms(vlaw: VLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.array(v), np.array(nu, dtype=np.int64), np.array(w)
 
 
-def expected_leaf_sum_exact(vlaw: VLaw, n: int, func: PathFunctional,
-                            max_terms: int = 1 << 21) -> float:
+def expected_leaf_sum_exact(vlaw: VLaw, n: int, func: PathFunctional) -> float:
     """E[sum over |x|=n of e^{-V(x)} F(path)] by brute-force path enumeration.
 
     Uses only linearity of expectation over the branching structure: each
@@ -235,7 +234,7 @@ def expected_leaf_sum_exact(vlaw: VLaw, n: int, func: PathFunctional,
     """
     v, nu, w = _joint_child_atoms(vlaw)
     a = v.size
-    if a ** n > max_terms:
+    if a ** n > _ENUM_BUDGET:
         raise ValueError(f"{a}^{n} paths exceed the enumeration budget")
     ids = np.arange(a ** n)
     digits = np.empty((a ** n, n), dtype=np.int64)
@@ -246,69 +245,22 @@ def expected_leaf_sum_exact(vlaw: VLaw, n: int, func: PathFunctional,
     return float(np.dot(weights, np.exp(-s[:, -1]) * func(s, nu[digits])))
 
 
-def _deterministic_child_count(law: OffspringLaw) -> int | None:
-    pmf = models.offspring_pmf(law)
-    if len(pmf) == 1 and pmf[0][1] == 1.0:
-        return pmf[0][0]
-    return None
-
-
-def _tree_lhs_fixed_topology(vlaw: VLaw, n: int, func: PathFunctional,
-                             replicates: int, seed: int, c: int
-                             ) -> tuple[float, float]:
-    """Vectorized direct-tree route when every particle has exactly c children."""
-    step = models.step_law(vlaw.base)
-    assert isinstance(step, DiscreteFinite)
-    values, cdf = step.values, np.cumsum(step.probs)
-    leaves = c ** n
-    offsets = np.cumsum([0] + [c ** i for i in range(1, n)])  # level i edge block
-    leaf_ids = np.arange(leaves)
-    idx = np.empty((leaves, n), dtype=np.int64)
-    for i in range(1, n + 1):
-        idx[:, i - 1] = offsets[i - 1] + leaf_ids // (c ** (n - i))
-    n_edges = int(offsets[-1] + c ** n)
-    nu = np.full((1, n), c, dtype=np.int64)
-
-    def draw(rng, k):
-        u = values[np.searchsorted(cdf, rng.random((k, n_edges)), side="right")]
-        v = vlaw.v_increment(u)
-        paths = np.cumsum(v[:, idx], axis=2)               # (k, leaves, n)
-        flat = paths.reshape(-1, n)
-        f = func(flat, np.broadcast_to(nu, flat.shape)).reshape(k, leaves)
-        return np.sum(np.exp(-paths[:, :, -1]) * f, axis=1)
-
-    return chunked_mean(seed, replicates, _CHUNK, draw)
-
-
-def _tree_lhs_general(vlaw: VLaw, n: int, func: PathFunctional,
-                      replicates: int, seed: int) -> tuple[float, float]:
-    """Direct-tree route for random topologies; one replicate per stream."""
-    pool = StreamPool(seed)
-    w = np.zeros(replicates)
-    for r in range(replicates):
-        rng = pool.rekey(r)
-        paths = np.zeros((1, 0))
-        nus = np.zeros((1, 0), dtype=np.int64)
-        cur = np.zeros(1)
-        for _ in range(n):
-            cur, counts = _advance(vlaw, cur, rng)
-            paths = np.hstack([np.repeat(paths, counts, axis=0), cur[:, None]])
-            nus = np.hstack([np.repeat(nus, counts, axis=0),
-                             np.repeat(counts, counts)[:, None]])
-            if cur.size == 0:
-                break
-        if cur.size:
-            w[r] = float(np.dot(np.exp(-paths[:, -1]), func(paths, nus)))
-    return mean_and_stderr(w)
-
-
 def tree_many_to_one_lhs(vlaw: VLaw, n: int, func: PathFunctional,
                          replicates: int, seed: int = 0) -> tuple[float, float]:
     """MC estimate of E[sum_{|x|=n} e^{-V(x)} F(path)] by direct tree simulation."""
-    c = _deterministic_child_count(vlaw.base)
-    if c is not None and not isinstance(vlaw.base, ExplicitFinite) and c >= 1:
-        return _tree_lhs_fixed_topology(vlaw, n, func, replicates, seed, c)
-    return _tree_lhs_general(vlaw, n, func, replicates, seed)
+    def draw(rng, k):
+        owner, v = np.arange(k), np.zeros(k)
+        paths = np.zeros((k, 0))
+        nus = np.zeros((k, 0), dtype=np.int64)
+        for _ in range(n):
+            owner, v, counts = _advance(vlaw, owner, v, rng)
+            paths = np.hstack([np.repeat(paths, counts, axis=0), v[:, None]])
+            nus = np.hstack([np.repeat(nus, counts, axis=0),
+                             np.repeat(counts, counts)[:, None]])
+        leaf = np.exp(-v) * func(paths, nus)
+        return np.bincount(owner, weights=leaf, minlength=k)
+
+    return chunked_mean(seed, replicates, CHUNK, draw)
 
 
 def spine_many_to_one_rhs(sp: SpineLaw, n: int, func: PathFunctional,
@@ -336,7 +288,7 @@ class CheckReport:
 
 def many_to_one_check(law: OffspringLaw, vlaw: VLaw, sp: SpineLaw, n: int,
                       func: PathFunctional | str, replicates: int,
-                      seed: int = 0, want_exact: bool = True) -> CheckReport:
+                      seed: int = 0) -> CheckReport:
     """Verify the many-to-one identity for one functional by two MC routes.
 
     The two estimates pass when their 3-standard-error intervals overlap.
@@ -348,13 +300,11 @@ def many_to_one_check(law: OffspringLaw, vlaw: VLaw, sp: SpineLaw, n: int,
         func = functional(func)
     lhs, lse = tree_many_to_one_lhs(vlaw, n, func, replicates, seed)
     rhs, rse = spine_many_to_one_rhs(sp, n, func, replicates, seed + 1)
-    exact = None
     in_l = in_r = None
-    if want_exact:
-        try:
-            exact = expected_leaf_sum_exact(vlaw, n, func)
-        except ValueError:
-            exact = None
+    try:
+        exact = expected_leaf_sum_exact(vlaw, n, func)
+    except ValueError:
+        exact = None
     if exact is not None:
         in_l = abs(exact - lhs) <= 3.0 * lse or lse == 0.0
         in_r = abs(exact - rhs) <= 3.0 * rse or rse == 0.0

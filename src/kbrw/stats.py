@@ -11,7 +11,7 @@ from .rng import replicate_stream
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion.
 
     Preferred over the Wald interval here because the survival
@@ -20,6 +20,7 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
     if trials <= 0:
         return 0.0, 1.0
     p = successes / trials
+    z = Z95
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2.0 * trials)) / denom
     half = (z / denom) * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
@@ -45,17 +46,27 @@ def mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
     return mean, float(values.std(ddof=1) / math.sqrt(n))
 
 
+def replicate_chunks(seed: int, replicates: int, chunk: int):
+    """Yield ``(first, k, rng)`` for consecutive chunks of ``replicates``.
+
+    Chunk c covers replicates ``first .. first + k - 1`` (k <= ``chunk``)
+    and draws from ``replicate_stream(seed, c)``, so the chunk size decides
+    which stream a replicate reads.
+    """
+    for c, first in enumerate(range(0, replicates, chunk)):
+        yield first, min(chunk, replicates - first), replicate_stream(seed, c)
+
+
 def chunked_mean(seed: int, replicates: int, chunk: int, draw) -> tuple[float, float]:
     """Mean and standard error of ``replicates`` values sampled chunk by chunk.
 
     ``draw(rng, k)`` returns the values of the next k replicates as a 1-D
-    float array.  Chunk c holds at most ``chunk`` replicates and draws from
-    ``replicate_stream(seed, c)``, so the chunk size decides which stream a
-    replicate reads; only a running sum and sum of squares are kept.
+    float array; chunks and streams are those of ``replicate_chunks``.
+    Only a running sum and sum of squares are kept.
     """
     total = total_sq = 0.0
-    for chunk_id, start in enumerate(range(0, replicates, chunk)):
-        w = draw(replicate_stream(seed, chunk_id), min(chunk, replicates - start))
+    for _, k, rng in replicate_chunks(seed, replicates, chunk):
+        w = draw(rng, k)
         total += float(w.sum())
         total_sq += float(np.dot(w, w))
     mean = total / replicates
@@ -71,5 +82,5 @@ def regression_slope(x, y) -> float:
     return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
 
 
-__all__ = ["Z95", "wilson_interval", "proportion_stderr", "mean_and_stderr", "chunked_mean",
-           "regression_slope"]
+__all__ = ["Z95", "wilson_interval", "proportion_stderr", "mean_and_stderr",
+           "replicate_chunks", "chunked_mean", "regression_slope"]

@@ -107,7 +107,7 @@ def test_survival_csv_schema_and_agreement(tmp_path):
     out = tmp_path / "s.csv"
     assert main(["survival", "--config", cfg, "--out", str(out)]) == EXIT_OK
     text = out.read_text()
-    assert text.startswith("# schema=kbrw.v1.survival")
+    assert text.startswith("# schema=kbrw.v2.survival")
     rows = _read_rows(out)
     assert len(rows) == 8  # 2 slopes x 2 depths x {mc, oracle}
     mc = {(r["slope"], r["n"]): r for r in rows if r["method"] == "mc"}

@@ -1,23 +1,7 @@
 import numpy as np
 
-from kbrw.rng import StreamPool, replicate_stream
+from kbrw.rng import replicate_stream
 from kbrw.stats import chunked_mean, mean_and_stderr
-
-
-def test_rekey_matches_fresh_stream_after_32bit_draw():
-    # an odd number of 32-bit draws leaves a spare half-word in the bit
-    # generator; rekeying must drop it like the buffered 64-bit words
-    pool = StreamPool(5)
-    pool.rekey(2).integers(0, 2 ** 32, size=1, dtype=np.uint32)
-    got = pool.rekey(3).integers(0, 2 ** 32, size=4, dtype=np.uint32)
-    want = replicate_stream(5, 3).integers(0, 2 ** 32, size=4, dtype=np.uint32)
-    assert got.tolist() == want.tolist()
-
-
-def test_rekey_matches_fresh_stream_after_doubles():
-    pool = StreamPool(11)
-    pool.rekey(0).random(3)
-    assert pool.rekey(7).random(5).tolist() == replicate_stream(11, 7).random(5).tolist()
 
 
 def test_chunked_mean_reads_one_stream_per_chunk():

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from kbrw import simulate, spine
 from kbrw.errors import GridExhausted
 from kbrw.oracle import LatticeLaw, exact_path_survival
 from kbrw.rng import replicate_stream
 from kbrw.simulate import (BarrierSpec, GwEmbedParams, escape_cap_sweep,
-                           estimate_M_kappa, estimate_rho, run_killed_brw,
-                           simulate_G)
+                           estimate_M_kappa, estimate_rho, simulate_G)
+from kbrw.spine import functional, tree_many_to_one_lhs
 from kbrw.stats import proportion_stderr
 
 
@@ -24,14 +25,9 @@ def test_barrier_spec_validation(profile_p03):
 
 def test_one_generation_exact(vlaw_p03):
     # slope 0, n=1: survive iff some child took the u=1 step; 1-(1-p)^2 = 0.51
-    hits = 0
     reps = 40_000
-    for i in range(reps):
-        survived, trace = run_killed_brw(vlaw_p03, 0.0, 1, math.inf, replicate_stream(99, i))
-        hits += survived
-        assert trace[0] == 1
-    p_hat = hits / reps
-    assert abs(p_hat - 0.51) <= 3.0 * proportion_stderr(0.51, reps)
+    est = estimate_rho(vlaw_p03, 0.0, 1, reps, escape_cap=math.inf, seed=99)
+    assert abs(est.p_hat - 0.51) <= 3.0 * proportion_stderr(0.51, reps)
 
 
 def test_no_barrier_certain_survival(vlaw_p03):
@@ -45,8 +41,10 @@ def test_escape_cap_truncation(vlaw_p03):
     est = estimate_rho(vlaw_p03, 1e6, 30, 150, escape_cap=4, seed=6)
     assert est.p_hat == 1.0
     assert est.cap_hits == 150
-    survived, trace = run_killed_brw(vlaw_p03, 1e6, 30, 1, replicate_stream(6, 0))
-    assert survived and trace == [1]
+    # cap 1: the root alone reaches it, so every replicate is a cap hit
+    est = estimate_rho(vlaw_p03, 1e6, 30, 150, escape_cap=1, seed=6)
+    assert est.p_hat == 1.0
+    assert est.cap_hits == 150
 
 
 def test_replicate_floor(vlaw_p03):
@@ -81,6 +79,58 @@ def test_escape_cap_sweep_exactly_monotone(vlaw_p03):
     assert ests[-1].cap_hits == 0
     # the bias collapses once the cap clears the surviving-population scale
     assert phats[-2] == phats[-1]
+
+
+def test_escape_cap_sweep_reads_one_run(vlaw_p03):
+    sweep = escape_cap_sweep(vlaw_p03, 0.3, 14, 500, caps=(1, 4, 16, math.inf), seed=56)
+    assert sweep[-1] == estimate_rho(vlaw_p03, 0.3, 14, 500, escape_cap=math.inf, seed=56)
+    assert sweep[0].p_hat == 1.0
+    assert sweep[0].cap_hits == 500
+
+
+_FIRST_CHUNK_RUNS = {
+    "estimate_rho": lambda v, reps: estimate_rho(v, 0.3, 10, reps, seed=3),
+    "estimate_M_kappa": lambda v, reps: estimate_M_kappa(v, j_max=6, replicates=reps, seed=4),
+    "simulate_G": lambda v, reps: simulate_G(
+        v, GwEmbedParams(n=8, eps=0.6, alpha=0.5, L=6, M=0.2), reps, seed=5),
+    "tree_many_to_one_lhs": lambda v, reps: tree_many_to_one_lhs(
+        v, 5, functional("below_line", slope=0.5), reps, seed=6),
+}
+
+
+@pytest.mark.parametrize("routine", sorted(_FIRST_CHUNK_RUNS))
+def test_first_chunk_independent_of_replicates(monkeypatch, vlaw_p03, routine):
+    # every population step goes through _advance; the steps of the first
+    # chunk must not depend on how many chunks follow it
+    chunk = 100   # estimate_rho needs at least 100 replicates
+    monkeypatch.setattr(simulate, "CHUNK", chunk)
+    monkeypatch.setattr(spine, "CHUNK", chunk)
+    advance, steps = simulate._advance, []
+
+    def recording(*args):
+        out = advance(*args)
+        steps.append(out)
+        return out
+
+    monkeypatch.setattr(simulate, "_advance", recording)
+    monkeypatch.setattr(spine, "_advance", recording)
+    runs = []
+    for reps in (chunk, 3 * chunk):
+        steps.clear()
+        runs.append((_FIRST_CHUNK_RUNS[routine](vlaw_p03, reps), list(steps)))
+    (one, one_steps), (three, three_steps) = runs
+    assert 0 < len(one_steps) < len(three_steps)
+    for a, b in zip(one_steps, three_steps):
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    if routine == "simulate_G":
+        assert np.array_equal(one, three[:chunk])
+
+
+def test_population_guard(monkeypatch, vlaw_p03):
+    # a binary chunk doubles every generation, so 10 generations pass 1,000
+    monkeypatch.setattr(simulate, "POPULATION_GUARD", 1_000)
+    with pytest.raises(GridExhausted):
+        estimate_M_kappa(vlaw_p03, j_max=10, replicates=200, seed=1)
 
 
 def test_determinism_bitwise(vlaw_p03):
