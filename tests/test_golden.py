@@ -44,7 +44,7 @@ def test_survival_csv_bytes(tmp_path):
     out = tmp_path / "survival.csv"
     assert main(["survival", "--config", str(cfg), "--out", str(out), "--threads", "1"]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        "db7185ae0146594b756be16d01b5517a2ee22f5727af9949034bd06ced2a6ac6"
+        "25bfcd8f1384d9e033aec44104db8e8ed461332b129a217b1745dae08a186210"
 
 
 def test_brownian_corridor_mc():
@@ -88,13 +88,13 @@ def test_gaussian_spine_corridor_row():
 
 def test_exact_path_survival():
     # u_line 3.0 is above every step, so the kill line is unreachable and the
-    # value is exactly 0; the 4.4e-16 at u_line 0.95 is the one-ulp floor of
-    # 1 - Q (true value ~7.7e-40)
+    # value is exactly 0; each value is within 1e-15 relative of a 40-digit
+    # evaluation of the same recursion
     lines = (-0.5, 0.0, 0.77, 0.95, 3.0)
     expected = {
-        BinaryBernoulli(0.3): [1.0, 1.0, 0.02878719570611943, 4.440892098500626e-16, 0.0],
-        SKEWED: [0.6906468155213747, 0.6494823921806246, 0.31324182073631046,
-                 0.2887147625900418, 0.0],
+        BinaryBernoulli(0.3): [1.0, 1.0, 0.028787195706118998, 7.738575688359825e-40, 0.0],
+        SKEWED: [0.6906468155213749, 0.649482392180625, 0.31324182073631074,
+                 0.28871476259004203, 0.0],
         EXPLICIT: [0.6833977214147069, 0.6803893097097766, 0.45659262070661555,
                    0.42327579071382515, 0.0],
     }
@@ -117,8 +117,9 @@ def test_rho_limit_on_pemantle_grid():
     ll, profile = LatticeLaw.from_law(law), solve_tstar(law)
     got = [rho_limit(ll, profile, barrier_map(e, profile))
            for e in (0.02, 0.01, 0.005, 0.003)]
-    assert got == [(0.0001348946265405937, 1024), (2.88369815082401e-06, 4096),
-                   (1.3223588890554083e-08, 8192), (7.395506429475063e-11, 32768)]
+    # within 1.1e-15 relative of the untrimmed recursion in 80-bit long double
+    assert got == [(0.00013489462653990092, 1024), (2.8836981501684065e-06, 4096),
+                   (1.3223588098026394e-08, 8192), (7.395409891146391e-11, 32768)]
 
 
 def test_gw_survival_to_n():

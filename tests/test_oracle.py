@@ -13,9 +13,10 @@ import pytest
 from kbrw import mogulskii, oracle
 from kbrw.analysis import solve_tstar
 from kbrw.errors import LatticeError
-from kbrw.models import DiscreteFinite, ProductLaw
+from kbrw.models import BinaryBernoulli, DiscreteFinite, ExplicitFinite, ProductLaw
 from kbrw.oracle import (LatticeLaw, exact_corridor_walk, exact_path_survival,
                          gw_survival_to_n, rho_limit)
+from kbrw.transform import barrier_map
 
 
 def _recursive_survival_binary(p, c, n):
@@ -383,8 +384,110 @@ def test_dp_kill_line_rounding_lifts_one_level():
     # With c a few ulps above u_min = -60, rounding of c*i - 1e-9 lifts the
     # lower bound at level 1092 by one (-65519) but not at level 1093
     # (-65580), so the next window starts below lo + u_min there.  The line kills nothing that
-    # matters at this depth, so the value is the GW survival 1 - 3/7.
+    # matters at this depth, so the value is the GW survival 1 - 3/7, here the
+    # double nearest 4/7.
     law = ProductLaw(((0, 0.3), (2, 0.7)),
                      DiscreteFinite(((-60.0, 0.01), (0.0, 0.49), (1.0, 0.5))))
     ll = LatticeLaw.from_law(law)
-    assert exact_path_survival(ll, 1100, u_line=-59.99999999999908) == 0.5714285714285715
+    assert exact_path_survival(ll, 1100, u_line=-59.99999999999908) == 0.5714285714285714
+
+
+# the laws of tests/test_golden.py: steps {-1, 0, 2}, and atomic broods with
+# an empty one
+SKEWED = ProductLaw(((0, 0.1), (1, 0.3), (2, 0.4), (3, 0.2)),
+                    DiscreteFinite(((-1.0, 0.3), (0.0, 0.3), (2.0, 0.4))))
+EXPLICIT = ExplicitFinite((((), 0.25), ((0.0, 1.0), 0.45), ((-1.0, 1.0, 2.0), 0.3)))
+
+
+def _kill_windows(ll, c, n):
+    """Alive sums [lo, hi] at levels 0..n, or None if some level has none."""
+    wins = [(0, 0)] + [(max(math.ceil(c * j - 1e-9), j * ll.u_min), j * ll.u_max)
+                       for j in range(1, n + 1)]
+    return None if any(lo > hi for lo, hi in wins) else wins
+
+
+def _mp_survival(ll, c, n):
+    """The path survival DP at 40 digits over every alive sum, untrimmed, in
+    forms free of cancellation: 1 - G(1 - m) = m sum_k c_k sum_{i<k} (1 - m)^i
+    for product laws, 1 - prod_i (1 - r_i) = sum_i r_i prod_{l<i} (1 - r_l)
+    per brood for explicit laws."""
+    wins = _kill_windows(ll, c, n)
+    if wins is None:
+        return mpmath.mpf(0)
+    with mpmath.workdps(40):
+        mpf = mpmath.mpf
+        # d_i = sum_{k > i} c_k, so that sum_k c_k sum_{i<k} a^i = sum_i d_i a^i
+        tails = [mpmath.fsum(mpf(ck) for ck in ll.pgf_coeffs[i + 1:])
+                 for i in range(len(ll.pgf_coeffs) - 1)]
+        steps = [(y, mpf(q)) for y, q in zip(ll.step_values, ll.step_probs or ())]
+        broods = [(ds, mpf(p)) for ds, p in ll.outcomes or ()]
+        lo, hi = wins[n]
+        r = {s: mpf(1) for s in range(lo, hi + 1)}
+        for j in range(n - 1, -1, -1):
+            lo, hi = wins[j]
+            new = {}
+            for s in range(lo, hi + 1):
+                if steps:
+                    m = mpmath.fsum(q * r.get(s + y, 0) for y, q in steps)
+                    new[s] = m * mpmath.polyval(tails[::-1], 1 - m)
+                else:
+                    tot = mpf(0)
+                    for ds, p in broods:
+                        alive_before, brood = mpf(1), mpf(0)
+                        for d in ds:
+                            rd = r.get(s + d, 0)
+                            brood += rd * alive_before
+                            alive_before *= 1 - rd
+                        tot += p * brood
+                    new[s] = tot
+            r = new
+        return r[0]
+
+
+def _float_survival_untrimmed(ll, c, n):
+    """The R = 1 - Q recursion in float64 over every alive sum (product laws),
+    with no trimming: R = m sum_k c_k sum_{i<k} (1 - m)^i."""
+    wins = _kill_windows(ll, c, n)
+    lo1, hi1 = wins[n]
+    r = np.ones(hi1 - lo1 + 1)
+    for j in range(n - 1, -1, -1):
+        lo, hi = wins[j]
+        base = min(lo + ll.u_min, lo1)
+        child = np.zeros(hi1 - base + 1)
+        child[lo1 - base:] = r
+        m = sum(q * child[lo + y - base: hi + y - base + 1]
+                for y, q in zip(ll.step_values, ll.step_probs))
+        geo = sum(ck * (1 - m) ** i for k, ck in enumerate(ll.pgf_coeffs) for i in range(k))
+        r, lo1, hi1 = m * geo, lo, hi
+    return float(r[0])
+
+
+@pytest.mark.parametrize("law", [BinaryBernoulli(0.3), SKEWED, EXPLICIT],
+                         ids=["binary", "skewed", "explicit"])
+def test_path_survival_relative_to_40_digits(law):
+    ll = LatticeLaw.from_law(law)
+    for c in (-0.5, 0.0, 0.4, 0.77, 0.95):
+        for n in (1, 2, 7, 120):
+            ref = _mp_survival(ll, c, n)
+            assert exact_path_survival(ll, n, u_line=c) == \
+                pytest.approx(float(ref), rel=1e-12, abs=0.0), (c, n)
+
+
+def test_path_survival_far_below_one_ulp():
+    # 1 - Q read 4.4e-16 here, one ulp of 1 above the true value
+    ll = LatticeLaw.from_law(BinaryBernoulli(0.3))
+    ref = _mp_survival(ll, 0.95, 300)
+    assert float(ref) == pytest.approx(7.7386e-40, rel=1e-4)
+    assert exact_path_survival(ll, 300, u_line=0.95) == \
+        pytest.approx(float(ref), rel=1e-12, abs=0.0)
+
+
+def test_trimmed_window_matches_untrimmed(law_p03, profile_p03):
+    # the deepest row of the pemantle bench grid, cut to n = 4096: the full
+    # window reaches 567 states, the trimmed one at most 15
+    ll = LatticeLaw.from_law(law_p03)
+    v = barrier_map(0.003, profile_p03)
+    c = (profile_p03.psi_tstar - v) / profile_p03.t_star
+    ref = _float_survival_untrimmed(ll, c, 4096)
+    assert exact_path_survival(ll, 4096, v_slope=v, profile=profile_p03) == \
+        pytest.approx(ref, rel=1e-13, abs=0.0)
