@@ -92,9 +92,9 @@ def test_exact_path_survival():
     # evaluation of the same recursion
     lines = (-0.5, 0.0, 0.77, 0.95, 3.0)
     expected = {
-        BinaryBernoulli(0.3): [1.0, 1.0, 0.028787195706118998, 7.738575688359825e-40, 0.0],
-        SKEWED: [0.6906468155213749, 0.649482392180625, 0.31324182073631074,
-                 0.28871476259004203, 0.0],
+        BinaryBernoulli(0.3): [1.0, 1.0, 0.028787195706118998, 7.738575688359826e-40, 0.0],
+        SKEWED: [0.6906468155213749, 0.6494823921806249, 0.3132418207363107,
+                 0.2887147625900421, 0.0],
         EXPLICIT: [0.6833977214147069, 0.6803893097097766, 0.45659262070661555,
                    0.42327579071382515, 0.0],
     }
@@ -117,9 +117,9 @@ def test_rho_limit_on_pemantle_grid():
     ll, profile = LatticeLaw.from_law(law), solve_tstar(law)
     got = [rho_limit(ll, profile, barrier_map(e, profile))
            for e in (0.02, 0.01, 0.005, 0.003)]
-    # within 1.1e-15 relative of the untrimmed recursion in 80-bit long double
-    assert got == [(0.00013489462653990092, 1024), (2.8836981501684065e-06, 4096),
-                   (1.3223588098026394e-08, 8192), (7.395409891146391e-11, 32768)]
+    # within 1.5e-15 relative of the untrimmed recursion in 80-bit long double
+    assert got == [(0.00013489462653990106, 1024), (2.883698150168405e-06, 4096),
+                   (1.322358809802639e-08, 8192), (7.395409891146395e-11, 32768)]
 
 
 def test_gw_survival_to_n():

@@ -397,6 +397,9 @@ def test_dp_kill_line_rounding_lifts_one_level():
 SKEWED = ProductLaw(((0, 0.1), (1, 0.3), (2, 0.4), (3, 0.2)),
                     DiscreteFinite(((-1.0, 0.3), (0.0, 0.3), (2.0, 0.4))))
 EXPLICIT = ExplicitFinite((((), 0.25), ((0.0, 1.0), 0.45), ((-1.0, 1.0, 2.0), 0.3)))
+# broods of 30, most children killed: H(m) expanded in powers of m cancels
+# to 1e-10 relative here
+BIG_BROOD = ProductLaw(((0, 0.1), (30, 0.9)), DiscreteFinite(((-1.0, 0.9), (1.0, 0.1))))
 
 
 def _kill_windows(ll, c, n):
@@ -462,8 +465,8 @@ def _float_survival_untrimmed(ll, c, n):
     return float(r[0])
 
 
-@pytest.mark.parametrize("law", [BinaryBernoulli(0.3), SKEWED, EXPLICIT],
-                         ids=["binary", "skewed", "explicit"])
+@pytest.mark.parametrize("law", [BinaryBernoulli(0.3), SKEWED, EXPLICIT, BIG_BROOD],
+                         ids=["binary", "skewed", "explicit", "big_brood"])
 def test_path_survival_relative_to_40_digits(law):
     ll = LatticeLaw.from_law(law)
     for c in (-0.5, 0.0, 0.4, 0.77, 0.95):
