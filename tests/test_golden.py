@@ -12,6 +12,8 @@ escape-cap pins) records them again and says so in CHANGES.md.
 import hashlib
 import json
 import math
+import warnings
+from pathlib import Path
 
 from kbrw.analysis import solve_tstar
 from kbrw.cli import main
@@ -45,6 +47,30 @@ def test_survival_csv_bytes(tmp_path):
     assert main(["survival", "--config", str(cfg), "--out", str(out), "--threads", "1"]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         "25bfcd8f1384d9e033aec44104db8e8ed461332b129a217b1745dae08a186210"
+
+
+def test_mogulskii_csv_bytes(tmp_path):
+    # the shipped lazy-walk corridor config: three DP rows with endpoint columns
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "mogulskii_lazy.json"
+    out = tmp_path / "mogulskii.csv"
+    assert main(["mogulskii", "--config", str(cfg), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "55da5fdd8e00006c1ff3a3e303baa8329d694de426108daad8a282491ea7b41b"
+
+
+def test_lattice_corridor_rows():
+    # a sloped strip for the lazy walk and a five-knot corridor for the skew
+    # lattice {-1, 0, 2}, both with an endpoint window
+    lazy = CorridorSpec.from_functions(lambda t: -1 + 0.3 * t, lambda t: 2 - 0.4 * t, 0.8)
+    row, = triangular_experiment(ArraySpec.lazy_walk(), lazy, [8000], endpoint_b=0.5)
+    assert (row.prob, row.endpoint_prob) == (0.00010138793326528382, 1.3681077656454683e-05)
+    knots = CorridorSpec((0.0, 0.3, 0.31, 0.7, 1.0), (-1.0, -0.5, -0.5, -1.2, -0.8),
+                         (1.0, 1.5, 3.0, 0.6, 1.1), 1.2)
+    skew = ArraySpec.lattice(((-1, 0.3), (0, 0.3), (2, 0.4)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the skew walk drifts
+        row, = triangular_experiment(skew, knots, [8000], endpoint_b=0.3)
+    assert (row.prob, row.endpoint_prob) == (4.808153867424979e-286, 3.20404744814944e-286)
 
 
 def test_brownian_corridor_mc():

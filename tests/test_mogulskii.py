@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kbrw.analysis import solve_tstar
+from kbrw.models import BinaryBernoulli, DiscreteFinite, ProductLaw
 from kbrw.mogulskii import (ArraySpec, CorridorSpec, brownian_corridor_mc,
                             corridor_constant, default_endpoint_b, ito_mckean_f,
                             r_n, triangular_experiment)
@@ -198,6 +199,31 @@ def test_spine_family_converges(law_p03, profile_p03):
     gaps = [r.gap for r in rows]
     assert gaps[2] < gaps[0]
     assert gaps[2] < 0.25 * abs(rows[2].target)
+
+
+# (n, prob, endpoint_prob) of the spine family on the flat strip of width 2
+# with endpoint_b = 0.5; the spine step's atoms may be computed in another
+# order, so these hold to 1e-10 relative, not bit for bit
+SPINE_ROWS = [
+    (BinaryBernoulli(0.3), [(3000, 8.305339667320489e-07, 1.0532267196126979e-07),
+                            (50_000, 4.859012917081523e-17, 7.90737554143196e-18)]),
+    (ProductLaw(((0, 0.1), (1, 0.3), (2, 0.4), (3, 0.2)),
+                DiscreteFinite(((-1.0, 0.3), (0.0, 0.3), (2.0, 0.4)))),
+     [(3000, 8.229132227421479e-05, 9.848206126741355e-06),
+      (50_000, 1.0356351217423203e-11, 1.4248790049046205e-12)]),
+]
+
+
+@pytest.mark.parametrize("law, expected", SPINE_ROWS)
+def test_spine_family_rows_pinned(law, expected):
+    prof = solve_tstar(law)
+    arr = ArraySpec.from_spine(make_spine(make_vlaw(law, prof)))
+    spec = CorridorSpec.from_functions(_flat(-1.0), _flat(1.0), prof.sigma)
+    rows = triangular_experiment(arr, spec, [n for n, _, _ in expected], endpoint_b=0.5)
+    for row, (n, p, pe) in zip(rows, expected):
+        assert (row.n, row.method) == (n, "dp")
+        assert row.prob == pytest.approx(p, rel=1e-10, abs=0.0)
+        assert row.endpoint_prob == pytest.approx(pe, rel=1e-10, abs=0.0)
 
 
 def test_r_n_rule():
