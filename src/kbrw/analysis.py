@@ -116,7 +116,7 @@ def _solve_h_root(ev: CgfEvaluator) -> float:
             hi = t
         t_newton = t - hval / hprime if hprime > 0.0 else t
         t = t_newton if lo < t_newton < hi else 0.5 * (lo + hi)
-    raise ArithmeticError("t* iteration did not reach the residual tolerance")
+    raise DomainTooNarrow("t* iteration did not reach the residual tolerance")
 
 
 def solve_tstar(law: OffspringLaw) -> CriticalProfile:

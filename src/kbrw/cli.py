@@ -35,8 +35,8 @@ import numpy as np
 from . import models, mogulskii, oracle, simulate, spine, transform
 from .analysis import (aldous_rate, beta_bs, beta_bs_from_gamma_derivative,
                        gamma_bs_solve, solve_tstar)
-from .errors import (CertificationError, GridExhausted, LatticeError,
-                     LawValidationError, NoCriticalPoint)
+from .errors import (CertificationError, DomainTooNarrow, GridExhausted,
+                     LatticeError, LawValidationError, NoCriticalPoint)
 from .models import (BinaryBernoulli, DiscreteFinite, ExplicitFinite, Gaussian,
                      OffspringLaw, ProductLaw)
 from .rng import derive_seed
@@ -159,6 +159,8 @@ CONFIG_SCHEMAS = {
                                "atoms": {"type": "array"},
                                "condition_nu": {"type": "boolean"}},
                 "required": ["type"], "additionalProperties": False,
+                "if": {"properties": {"type": {"const": "lattice"}}},
+                "then": {"required": ["atoms"]},
             },
             "n_list": {"type": "array", "minItems": 1,
                        "items": {"type": "integer", "minimum": 2}},
@@ -491,7 +493,7 @@ def main(argv: list[str] | None = None) -> int:
     except (LawValidationError, CertificationError, LatticeError, ValueError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except NoCriticalPoint as exc:
+    except (NoCriticalPoint, DomainTooNarrow) as exc:
         print(f"no critical tilt: {exc}", file=sys.stderr)
         return EXIT_NO_CRITICAL_POINT
     except GridExhausted as exc:

@@ -16,7 +16,7 @@ class NoCriticalPoint(RuntimeError):
 
 
 class DomainTooNarrow(RuntimeError):
-    """Root bracketing for the critical tilt hit the domain bound."""
+    """Root finding for the critical tilt hit the domain bound or did not converge."""
 
 
 class CertificationError(RuntimeError):

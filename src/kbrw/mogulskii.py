@@ -4,8 +4,9 @@ Three pieces: the limiting corridor constant
 ``-(pi^2 sigma^2 / 2) * integral dt / (g2(t) - g1(t))^2``, exact for the
 stored piecewise-linear corridor; the eigenfunction series for the
 probability that a Brownian motion stays in a strip and ends in a window;
-and triangular-array experiments that push exact lattice corridor
-probabilities (or Monte Carlo ones) toward the limit constant.
+and triangular-array experiments that push corridor probabilities toward
+the limit constant: exact by the integer-walk DP for families on a lattice
+frame, sampled otherwise.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import oracle
-from .models import BOUNDARY_TOL, DiscreteFinite
+from . import models, oracle
+from .models import BOUNDARY_TOL, LATTICE_TOL, DiscreteFinite
 from .spine import SpineLaw
 from .stats import chunked_mean
 
@@ -54,8 +55,8 @@ class CorridorSpec:
             raise ValueError("corridor pinches: g2 - g1 must stay positive")
 
     @classmethod
-    def from_functions(cls, g1, g2, sigma: float, samples: int = N_SAMPLES) -> "CorridorSpec":
-        ts = np.linspace(0.0, 1.0, samples)
+    def from_functions(cls, g1, g2, sigma: float) -> "CorridorSpec":
+        ts = np.linspace(0.0, 1.0, N_SAMPLES)
         return cls(tuple(ts), tuple(float(g1(t)) for t in ts),
                    tuple(float(g2(t)) for t in ts), float(sigma))
 
@@ -169,26 +170,33 @@ def r_n(n: int) -> int:
 class ArraySpec:
     """A per-n family of i.i.d. steps for the triangular corridor limit.
 
-    ``lattice`` families keep one integer step pmf for every n.  ``spine``
-    families take the tilted step of a centered law conditioned on the
-    spine child count not exceeding r_n; on product laws the count is
-    independent of the step, so conditioning only truncates a vanishing
-    tail and the walk lives on the affine lattice psi - t* Z.
+    Finite families hold one atom table (s, nu, p): step s, with the child
+    count nu attached to it, has probability p.  With ``condition_nu`` the
+    step at size n is conditioned on nu <= r_n.  A ``frame`` (c, h) says
+    every step is c + h k with k an integer, so S_i = i c + h K_i for an
+    integer walk K and the corridor probability is exact; without a frame
+    it is sampled.  ``gauss`` holds a Gaussian spine, which is sampled.
+
+    ``lattice`` families are integer steps on the frame (0, 1), never
+    conditioned.  ``spine`` families take the tilted step of a centered
+    law; on product laws the count is independent of the step, so
+    conditioning only truncates a vanishing tail.  A spine walk lives on
+    the frame (psi, -t*) exactly when ``models.is_lattice`` holds for its
+    law.
     """
 
-    kind: str                       # "lattice" | "spine"
-    step_values: tuple[int, ...] | None = None
-    step_probs: tuple[float, ...] | None = None
-    spine: SpineLaw | None = None
-    condition_nu: bool = True
+    atoms: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    frame: tuple[float, float] | None = None
+    condition_nu: bool = False
+    gauss: SpineLaw | None = None
 
     @classmethod
     def lattice(cls, atoms) -> "ArraySpec":
         step = DiscreteFinite(tuple(atoms))
-        values = tuple(int(round(v)) for v in step.values)
-        if any(abs(v - rv) > 1e-9 for v, rv in zip(step.values, values)):
+        values = np.rint(step.values)
+        if np.any(np.abs(step.values - values) > LATTICE_TOL):
             raise ValueError("lattice family needs integer step values")
-        return cls("lattice", values, tuple(step.probs))
+        return cls((values, np.zeros(values.size, dtype=np.int64), step.probs), (0.0, 1.0))
 
     @classmethod
     def lazy_walk(cls) -> "ArraySpec":
@@ -196,30 +204,26 @@ class ArraySpec:
 
     @classmethod
     def from_spine(cls, sp: SpineLaw, condition_nu: bool = True) -> "ArraySpec":
-        return cls("spine", spine=sp, condition_nu=condition_nu)
+        if sp.gauss_s is not None:
+            return cls(condition_nu=condition_nu, gauss=sp)
+        vl = sp.vlaw
+        frame = (vl.psi_tstar, -vl.t_star) if models.is_lattice(vl.base) else None
+        return cls((sp.s_values, sp.nu_values, sp.probs), frame, condition_nu)
 
     def a_n(self, n: int) -> float:
         return float(np.cbrt(n))
 
     def step_pmf_at(self, n: int) -> tuple[np.ndarray, np.ndarray, float]:
-        """(values, probs, nu_tail) of X_1^{(n)}; values are walk increments."""
-        if self.kind == "lattice":
-            return (np.array(self.step_values, dtype=np.float64),
-                    np.array(self.step_probs), 0.0)
-        sp = self.spine
-        if sp.s_values is None:
-            raise ValueError("spine family needs a finite-support step")
-        s, nu, p = sp.s_values, sp.nu_values, sp.probs
+        """(values, probs, nu_tail) of X_1^{(n)}; values are sorted walk increments."""
+        s, nu, p = self.atoms
+        tail = 0.0
         if self.condition_nu:
             keep = nu <= r_n(n)
             if not keep.any():
-                raise ArithmeticError(
-                    f"conditioning on nu <= {r_n(n)} removes all mass at n={n}")
+                raise ValueError(f"conditioning on nu <= {r_n(n)} removes all mass at n={n}")
             tail = float(p[~keep].sum())
             p = p[keep] / p[keep].sum()
             s = s[keep]
-        else:
-            tail = 0.0
         values, inverse = np.unique(s, return_inverse=True)
         probs = np.zeros(values.size)
         np.add.at(probs, inverse, p)
@@ -227,9 +231,9 @@ class ArraySpec:
 
     def witnesses_at(self, n: int) -> dict:
         """Closed-form witnesses for the three array conditions."""
-        if self.kind == "spine" and self.spine.gauss_s is not None:
-            ms, ss = self.spine.gauss_s
-            nu_k, nu_p = self.spine.gauss_nu
+        if self.gauss is not None:
+            ms, ss = self.gauss.gauss_s
+            nu_k, nu_p = self.gauss.gauss_nu
             tail = float(nu_p[nu_k > r_n(n)].sum()) if self.condition_nu else 0.0
             # the spine mean is certified ~0, so the centered closed form
             # for the third absolute moment is exact to that residual
@@ -264,71 +268,53 @@ def default_endpoint_b(spec: CorridorSpec) -> float:
     return (float(spec.g2(1.0)) - float(spec.g1(1.0))) / 4.0
 
 
-def _lattice_corridor_prob(arr: ArraySpec, spec: CorridorSpec, n: int,
-                           endpoint_b: float | None):
-    """Exact corridor probability via the integer-walk DP.
+def _corridor_prob(arr: ArraySpec, spec: CorridorSpec, n: int,
+                   endpoint_b: float | None, replicates: int, seed: int):
+    """(prob, endpoint_prob) of the corridor at size n.
 
-    Spine families walk on the affine lattice S = i*psi - t* T with T an
-    integer walk, so corridor bounds map to integer bounds on T.  Bounds
-    are chosen inward (ceil lower, floor upper) with a BOUNDARY_TOL snap so
-    exact lattice hits stay inclusive.
+    On a frame (c, h), S_i in [lo, hi] iff K_i = (S_i - i c)/h lies between
+    (lo - i c)/h and (hi - i c)/h; the integer bounds are chosen inward
+    (ceil lower, floor upper) with a BOUNDARY_TOL snap so exact lattice hits
+    stay inclusive, the endpoint window [edge, hi_n] maps the same way, and
+    the integer-walk DP is exact.  Without a frame ``replicates`` paths are
+    sampled.
     """
     a = arr.a_n(n)
     i = np.arange(1, n + 1)
-    lo_s = a * spec.g1(i / n)
-    hi_s = a * spec.g2(i / n)
-    s_floor = None if endpoint_b is None else a * (float(spec.g2(1.0)) - endpoint_b)
-    values, probs, _ = arr.step_pmf_at(n)
-    if arr.kind == "lattice":
-        steps = values.astype(np.int64)
-        lower = np.ceil(lo_s - BOUNDARY_TOL).astype(np.int64)
-        upper = np.floor(hi_s + BOUNDARY_TOL).astype(np.int64)
-        endpoint = (None if s_floor is None
-                    else (int(math.ceil(s_floor - BOUNDARY_TOL)), int(upper[-1])))
-    else:
-        sp = arr.spine
-        t_star, psi = sp.vlaw.t_star, sp.vlaw.psi_tstar
-        steps = np.round((psi - values) / t_star).astype(np.int64)  # S = -t* u + psi per step
-        if np.max(np.abs((psi - values) / t_star - steps)) > 1e-6:
-            raise ValueError("spine steps do not sit on an integer displacement lattice")
-        # S_i in [lo, hi]  <=>  T_i in [(i psi - hi)/t*, (i psi - lo)/t*]
-        lower = np.ceil((i * psi - hi_s) / t_star - BOUNDARY_TOL).astype(np.int64)
-        upper = np.floor((i * psi - lo_s) / t_star + BOUNDARY_TOL).astype(np.int64)
-        endpoint = (None if s_floor is None
-                    else (int(lower[-1]),
-                          int(math.floor((n * psi - s_floor) / t_star + BOUNDARY_TOL))))
-    return oracle.exact_corridor_walk(steps, probs, lower, upper, endpoint=endpoint)
+    lo, hi = a * spec.g1(i / n), a * spec.g2(i / n)
+    edge = None if endpoint_b is None else a * (float(spec.g2(1.0)) - endpoint_b)
+    if arr.gauss is None:
+        values, probs, _ = arr.step_pmf_at(n)
+    if arr.frame is not None:
+        c, h = arr.frame
 
+        def bounds(lo, hi, i):
+            if h < 0:   # K runs against S
+                lo, hi = hi, lo
+            return (np.ceil((lo - i * c) / h - BOUNDARY_TOL).astype(np.int64),
+                    np.floor((hi - i * c) / h + BOUNDARY_TOL).astype(np.int64))
 
-def _mc_corridor_prob(arr: ArraySpec, spec: CorridorSpec, n: int,
-                      endpoint_b: float | None, replicates: int, seed: int):
-    """Sampled corridor probability for families off the integer lattice."""
-    a = arr.a_n(n)
-    i = np.arange(1, n + 1)
-    lo = a * spec.g1(i / n)
-    hi = a * spec.g2(i / n)
-    sp = arr.spine
+        endpoint = None if edge is None else tuple(map(int, bounds(edge, hi[-1], n)))
+        return oracle.exact_corridor_walk(np.rint((values - c) / h).astype(np.int64), probs,
+                                          *bounds(lo, hi, i), endpoint=endpoint)
     end_hits = []
 
     def draw(rng, k):
-        if sp is not None and sp.gauss_s is not None:
-            ms, ss = sp.gauss_s
+        if arr.gauss is not None:
+            ms, ss = arr.gauss.gauss_s
             s = np.cumsum(rng.normal(ms, ss, (k, n)), axis=1)
         else:
-            values, probs, _ = arr.step_pmf_at(n)
             idx = np.searchsorted(np.cumsum(probs), rng.random((k, n)), side="right")
             s = np.cumsum(values[idx], axis=1)
         ok = np.all((s >= lo) & (s <= hi), axis=1)
-        if endpoint_b is not None:
-            edge = a * (float(spec.g2(1.0)) - endpoint_b)
+        if edge is not None:
             end_hits.append(int((ok & (s[:, -1] >= edge)).sum()))
         return ok.astype(np.float64)
 
     # hit counts are integers, so the running float sum is exact and the
     # mean equals hits / replicates
     p, _ = chunked_mean(seed, replicates, _MC_CHUNK, draw)
-    pe = sum(end_hits) / replicates if endpoint_b is not None else None
-    return p, pe
+    return p, None if edge is None else sum(end_hits) / replicates
 
 
 def triangular_experiment(arr: ArraySpec, spec: CorridorSpec, n_list,
@@ -337,8 +323,9 @@ def triangular_experiment(arr: ArraySpec, spec: CorridorSpec, n_list,
                           seed: int = 0) -> list[ExperimentRow]:
     """Finite-n corridor probabilities against the limiting constant.
 
-    Lattice-representable families are evaluated exactly by the corridor
-    DP; otherwise the probability is sampled with ``mc_replicates`` paths.
+    Families with a frame (every ``lattice`` family, and a spine exactly
+    when its law is lattice) are evaluated exactly by the corridor DP;
+    otherwise the probability is sampled with ``mc_replicates`` paths.
     Each row reports (a_n^2/n) log P next to the corridor constant and the
     closed-form witnesses of the array conditions (bounded 2+eta moment,
     vanishing scaled mean, variance convergence); a witness outside its
@@ -352,12 +339,8 @@ def triangular_experiment(arr: ArraySpec, spec: CorridorSpec, n_list,
             warnings.warn(f"array mean at n={n} is not small against a_n/n "
                           f"(witness {wit['mean_over_an_per_n']:.3g}); "
                           "the corridor limit may not apply", stacklevel=2)
-        try:
-            p, pe = _lattice_corridor_prob(arr, spec, n, endpoint_b)
-            method = "dp"
-        except ValueError:  # family not representable on an integer lattice
-            p, pe = _mc_corridor_prob(arr, spec, n, endpoint_b, mc_replicates, seed)
-            method = "mc"
+        p, pe = _corridor_prob(arr, spec, n, endpoint_b, mc_replicates, seed)
+        method = "mc" if arr.frame is None else "dp"
         a = arr.a_n(n)
         scaled = (a * a / n) * math.log(p) if p > 0.0 else -math.inf
         scaled_e = None

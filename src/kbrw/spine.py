@@ -37,10 +37,10 @@ _ENUM_BUDGET = 1 << 21   # paths expected_leaf_sum_exact may enumerate
 class SpineLaw:
     """Joint law of one spine step: (increment S_1, parent child count nu_0).
 
-    For product families the two coordinates are independent (the tilt
-    factorizes); explicit families carry genuinely joint atoms, sampled by
-    picking an outcome with probability prob * sum_children exp(-v) and a
-    child within it with probability proportional to exp(-v).
+    Finite families carry one atom table (s, nu, prob): each per-child
+    intensity atom of ``_joint_child_atoms`` reweighted by exp(-s).  For
+    product families the two coordinates are independent (the tilt
+    factorizes); explicit families make them genuinely joint.
     """
 
     vlaw: VLaw
@@ -70,8 +70,8 @@ def _size_biased_pmf(law: OffspringLaw) -> tuple[np.ndarray, np.ndarray]:
 def make_spine(vlaw: VLaw) -> SpineLaw:
     """Exact tilted distributions for the spine, certified against the profile."""
     base = vlaw.base
-    t, psi = vlaw.t_star, vlaw.psi_tstar
     if isinstance(base, ProductLaw) and isinstance(base.step, Gaussian):
+        t, psi = vlaw.t_star, vlaw.psi_tstar
         mu, sd = base.step.mean, base.step.stddev
         tilted_mean_y = mu + sd * sd * t
         ms = -t * tilted_mean_y + psi
@@ -80,37 +80,14 @@ def make_spine(vlaw: VLaw) -> SpineLaw:
         s_mean, s_var = ms, ms * ms + ss * ss  # second moment
         wit = (math.exp(ms + 0.5 * ss * ss), math.exp(-ms + 0.5 * ss * ss))
         sp = SpineLaw(vlaw, None, None, None, (ms, ss), nu, s_mean, s_var, wit)
-    elif isinstance(base, ExplicitFinite):
-        s_list, nu_list, p_list = [], [], []
-        for ds, p in base.outcomes:
-            for d in ds:
-                v = -t * d + psi
-                s_list.append(v)
-                nu_list.append(len(ds))
-                p_list.append(p * math.exp(-v))
-        probs = np.array(p_list)
-        probs /= probs.sum()   # total is E[sum e^{-V}] = 1 up to certification residual
-        s_vals = np.array(s_list)
-        nu_vals = np.array(nu_list, dtype=np.int64)
-        s_mean = float(np.dot(probs, s_vals))
-        s_var = float(np.dot(probs, (s_vals - s_mean) ** 2) + s_mean ** 2)  # E[S^2]
-        wit = (float(np.dot(probs, np.exp(s_vals))), float(np.dot(probs, np.exp(-s_vals))))
-        sp = SpineLaw(vlaw, s_vals, nu_vals, probs, None, None, s_mean, s_var, wit)
     else:
-        step = models.step_law(base)
-        assert isinstance(step, DiscreteFinite)
-        u = step.values
-        w = step.probs * np.exp(t * u)
-        w /= w.sum()
-        s_step = -t * u + psi
-        nu_k, nu_p = _size_biased_pmf(base)
-        s_vals = np.repeat(s_step, nu_k.size)
-        nu_vals = np.tile(nu_k, u.size)
-        probs = (w[:, None] * nu_p[None, :]).ravel()
-        s_mean = float(np.dot(w, s_step))
-        s_var = float(np.dot(w, s_step ** 2))
-        wit = (float(np.dot(w, np.exp(s_step))), float(np.dot(w, np.exp(-s_step))))
-        sp = SpineLaw(vlaw, s_vals, nu_vals, probs, None, None, s_mean, s_var, wit)
+        s, nu, w = _joint_child_atoms(vlaw)
+        probs = w * np.exp(-s)
+        probs /= probs.sum()   # total is E[sum e^{-V}] = 1 up to certification residual
+        s_mean = float(np.dot(probs, s))
+        s_var = float(np.dot(probs, s * s))  # second moment
+        wit = (float(np.dot(probs, np.exp(s))), float(np.dot(probs, np.exp(-s))))
+        sp = SpineLaw(vlaw, s, nu, probs, None, None, s_mean, s_var, wit)
     if abs(sp.s_mean) > MEAN_TOL:
         raise CertificationError(f"spine step mean {sp.s_mean:.3e} is not 0")
     if abs(sp.s_var - sp.sigma2) > VAR_TOL:
@@ -201,28 +178,24 @@ def default_library(profile_sigma: float = 1.0) -> tuple[PathFunctional, ...]:
 # the two Monte Carlo routes and the exact route
 
 def _joint_child_atoms(vlaw: VLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-child intensity atoms (v, nu, weight); weights sum to E[Z]."""
+    """Per-child intensity atoms (v, nu, weight); weights sum to E[Z].
+
+    Explicit laws give one atom per child of each outcome; product laws list
+    the step atoms u-major, then the child counts k > 0.  Zero-weight atoms
+    are dropped.
+    """
     base = vlaw.base
     if isinstance(base, ExplicitFinite):
-        v, nu, w = [], [], []
-        for ds, p in base.outcomes:
-            for d in ds:
-                v.append(vlaw.v_increment(d))
-                nu.append(len(ds))
-                w.append(p)
+        atoms = [(d, len(ds), p) for ds, p in base.outcomes for d in ds]
     else:
         step = models.step_law(base)
         if not isinstance(step, DiscreteFinite):
             raise ValueError("exact enumeration needs finite displacement support")
-        v, nu, w = [], [], []
-        for k, pk in models.offspring_pmf(base):
-            if k == 0:
-                continue
-            for a, qa in step.atoms:
-                v.append(vlaw.v_increment(a))
-                nu.append(k)
-                w.append(k * pk * qa)
-    return np.array(v), np.array(nu, dtype=np.int64), np.array(w)
+        atoms = [(u, k, k * pk * qu) for u, qu in step.atoms
+                 for k, pk in models.offspring_pmf(base) if k > 0]
+    u, nu, w = (np.array(c) for c in zip(*atoms))
+    keep = w > 0
+    return vlaw.v_increment(u[keep]), nu[keep].astype(np.int64), w[keep]
 
 
 def expected_leaf_sum_exact(vlaw: VLaw, n: int, func: PathFunctional) -> float:

@@ -28,7 +28,7 @@ IDENTITY_TOL = 1e-12
 
 def _tilted_sums(law: OffspringLaw, t_star: float, psi_tstar: float, order: int
                  ) -> float:
-    """E[sum V^order exp(-V)] in closed form, with V = -t* U + psi(t*)."""
+    """E[sum V^order exp(-V)] for order 0 or 1, in closed form, with V = -t* U + psi(t*)."""
     atoms = models.intensity_atoms(law)
     if atoms is not None:
         u, lam = atoms
@@ -40,15 +40,8 @@ def _tilted_sums(law: OffspringLaw, t_star: float, psi_tstar: float, order: int
     m = models.mean_children(law)
     mgf = math.exp(mu * t_star + 0.5 * (sd * t_star) ** 2)
     tilted_mean_v = -t_star * (mu + sd * sd * t_star) + psi_tstar
-    tilted_var_v = (t_star * sd) ** 2
     base = m * mgf * math.exp(-psi_tstar)
-    if order == 0:
-        return base
-    if order == 1:
-        return base * tilted_mean_v
-    if order == 2:
-        return base * (tilted_var_v + tilted_mean_v ** 2)
-    raise ValueError(f"unsupported moment order {order}")
+    return base if order == 0 else base * tilted_mean_v
 
 
 @dataclass(frozen=True)

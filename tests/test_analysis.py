@@ -6,7 +6,7 @@ import pytest
 from kbrw.analysis import (CgfEvaluator, aldous_rate, beta_bs,
                            beta_bs_from_gamma_derivative, central_difference,
                            gamma_bs_solve, solve_tstar)
-from kbrw.errors import NoCriticalPoint
+from kbrw.errors import DomainTooNarrow, NoCriticalPoint
 from kbrw.models import (BinaryBernoulli, DiscreteFinite, ExplicitFinite,
                          Gaussian, ProductLaw)
 
@@ -167,3 +167,11 @@ def test_aldous_rate():
     assert aldous_rate(p0_again) == pytest.approx(val, rel=1e-12)
     with pytest.raises(ValueError):
         aldous_rate(0.3)
+
+
+def test_unconverged_root_raises_domain_too_narrow(monkeypatch):
+    # no residual passes a zero tolerance, so the iteration runs out
+    import kbrw.analysis
+    monkeypatch.setattr(kbrw.analysis, "H_TOL", 0.0)
+    with pytest.raises(DomainTooNarrow):
+        solve_tstar(BinaryBernoulli(0.3))

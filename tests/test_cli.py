@@ -66,6 +66,14 @@ def test_analyze_percolation_exit_code(tmp_path, capsys):
     assert main(["analyze", "--config", cfg2]) == EXIT_NO_CRITICAL_POINT
 
 
+def test_analyze_domain_too_narrow_exit_code(tmp_path, capsys):
+    # one ulp below the percolation threshold p = 1/2: t* is too large for
+    # the bracket, which is reported like a missing critical point
+    cfg = _write(tmp_path, "n.json", {"law": {"type": "binary_bernoulli",
+                                               "p": 0.4999999999999999}})
+    assert main(["analyze", "--config", cfg]) == EXIT_NO_CRITICAL_POINT
+
+
 @pytest.mark.parametrize("command, extra", [
     ("survival", {"seed": 1, "slopes": [0.1], "n": [3], "replicates": 100}),
     ("mogulskii", {"seed": 1, "family": {"type": "spine"}, "n_list": [10],
@@ -322,6 +330,23 @@ def test_mogulskii_pinched_corridor_rejected(tmp_path):
     config = _mog_config()
     config["corridor"]["g2"] = {"type": "affine", "intercept": 1.0, "slope": -2.5}
     cfg = _write(tmp_path, "mp.json", config)
+    assert main(["mogulskii", "--config", cfg]) == EXIT_VALIDATION
+
+
+def test_mogulskii_conditioning_removing_all_mass_rejected(tmp_path):
+    # every brood has 4 children and r_n(2) = 3
+    config = _mog_config()
+    config.update(law={"type": "explicit",
+                       "outcomes": [[[0, 1, 1, 2], 0.5], [[0, 0, 1, 1], 0.5]]},
+                  family={"type": "spine"}, n_list=[2])
+    cfg = _write(tmp_path, "mc.json", config)
+    assert main(["mogulskii", "--config", cfg]) == EXIT_VALIDATION
+
+
+def test_mogulskii_lattice_family_needs_atoms(tmp_path):
+    config = _mog_config()
+    config["family"] = {"type": "lattice"}
+    cfg = _write(tmp_path, "ml.json", config)
     assert main(["mogulskii", "--config", cfg]) == EXIT_VALIDATION
 
 

@@ -138,6 +138,18 @@ def test_endpoint_variant_present_only_when_requested():
     assert rows[0].endpoint_scaled <= rows[0].scaled_log_prob
 
 
+def test_endpoint_window_above_the_corridor_is_empty(spine_p03, profile_p03):
+    # b < 0 puts the window [a_n (g2(1) - b), a_n g2(1)] upside down, and it
+    # must stay empty; at n = 512 the corridor top a_n = 8 is a lattice point,
+    # so a window read the other way round would hold S_n = 8.  On the spine
+    # frame the window is reflected to K bounds.
+    spec = CorridorSpec.from_functions(_flat(-1.0), _flat(1.0), profile_p03.sigma)
+    for arr in (ArraySpec.lazy_walk(), ArraySpec.from_spine(spine_p03)):
+        row, = triangular_experiment(arr, spec, [512], endpoint_b=-0.1)
+        assert row.method == "dp" and row.prob > 0.0
+        assert row.endpoint_prob == 0.0
+
+
 def test_endpoint_scaled_converges_too():
     # the endpoint-constrained event shares the limit constant: at sizeable n
     # its scaled log-probability sits near the target (no monotonicity claim,
@@ -239,6 +251,17 @@ def test_violation_warns_but_runs():
     with pytest.warns(UserWarning):
         rows = triangular_experiment(arr, spec, [400])
     assert len(rows) == 1  # still produced
+
+
+def test_spine_family_is_exact_iff_law_is_lattice(law_explicit):
+    half = ProductLaw(((2, 1.0),), DiscreteFinite(((0.0, 0.7), (0.5, 0.3))))
+    for law, method in ((law_explicit, "dp"), (half, "mc")):
+        prof = solve_tstar(law)
+        arr = ArraySpec.from_spine(make_spine(make_vlaw(law, prof)))
+        spec = CorridorSpec.from_functions(_flat(-1.0), _flat(1.0), prof.sigma)
+        row, = triangular_experiment(arr, spec, [20], mc_replicates=20_000, seed=2)
+        assert (arr.frame is not None, row.method) == (method == "dp", method)
+        assert 0.0 < row.prob < 1.0
 
 
 def test_gaussian_spine_family_uses_mc(law_gaussian):

@@ -239,7 +239,7 @@ def test_corridor_lazy_strip_closed_form(n):
 
 
 def _spied_corridor(monkeypatch, arr, spec, n, endpoint_b):
-    """_lattice_corridor_prob's result and the arguments it passed to the DP."""
+    """_corridor_prob's result and the arguments it passed to the DP."""
     calls = []
     real = oracle.exact_corridor_walk
 
@@ -248,7 +248,7 @@ def _spied_corridor(monkeypatch, arr, spec, n, endpoint_b):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "exact_corridor_walk", spy)
-    got = mogulskii._lattice_corridor_prob(arr, spec, n, endpoint_b)
+    got = mogulskii._corridor_prob(arr, spec, n, endpoint_b, 0, 0)
     (steps, probs, lower, upper), kwargs = calls[-1]
     return got, (list(steps), list(probs), lower.tolist(), upper.tolist(), kwargs["endpoint"])
 
