@@ -20,6 +20,7 @@ runs out the command stops, writes no CSV and exits 4.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -77,7 +78,9 @@ LAW_SCHEMA = {
          "properties": {"type": {"const": "product"},
                         "offspring_pmf": {"type": "array", "minItems": 1,
                                           "items": {"type": "array", "minItems": 2, "maxItems": 2,
-                                                    "items": {"type": "number"}}},
+                                                    "prefixItems": [
+                                                        {"type": "integer", "minimum": 0},
+                                                        {"type": "number"}]}},
                         "step": _STEP_SCHEMA},
          "required": ["type", "offspring_pmf", "step"], "additionalProperties": False},
         {"type": "object",
@@ -106,71 +109,53 @@ _BOUNDARY_SCHEMA = {
     ]
 }
 
+# entries every command shares; analyze runs under no time budget
+_SHARED = {"law": LAW_SCHEMA, "seed": {"type": "integer"},
+           "time_budget_s": {"type": "number", "exclusiveMinimum": 0}}
+
+
+def _command_schema(required: list[str], **properties) -> dict:
+    return {"type": "object", "properties": {**_SHARED, **properties},
+            "required": required, "additionalProperties": False}
+
+
 CONFIG_SCHEMAS = {
-    "analyze": {
-        "type": "object",
-        "properties": {"law": LAW_SCHEMA, "seed": {"type": "integer"}},
-        "required": ["law"], "additionalProperties": False,
-    },
-    "survival": {
-        "type": "object",
-        "properties": {
-            "law": LAW_SCHEMA,
-            "seed": {"type": "integer"},
-            "coordinate": {"enum": ["U", "V"]},
-            "slopes": {"type": "array", "minItems": 1, "items": {"type": "number", "minimum": 0}},
-            "n": {"type": "array", "minItems": 1, "items": {"type": "integer", "minimum": 1}},
-            "replicates": {"type": "integer", "minimum": 100},
-            "escape_cap": {"type": ["integer", "null"], "minimum": 1},
-            "record_runtime": {"type": "boolean"},
-            "time_budget_s": {"type": "number", "exclusiveMinimum": 0},
+    "analyze": _command_schema(["law"], time_budget_s=False),
+    "survival": _command_schema(
+        ["law", "seed", "slopes", "n", "replicates"],
+        coordinate={"enum": ["U", "V"]},
+        slopes={"type": "array", "minItems": 1, "items": {"type": "number", "minimum": 0}},
+        n={"type": "array", "minItems": 1, "items": {"type": "integer", "minimum": 1}},
+        replicates={"type": "integer", "minimum": 100},
+        escape_cap={"type": ["integer", "null"], "minimum": 1},
+        record_runtime={"type": "boolean"}),
+    "pemantle": _command_schema(
+        ["law", "eps_grid"],
+        eps_grid={"type": "array", "minItems": 1,
+                  "items": {"type": "number", "exclusiveMinimum": 0}},
+        rel_tol={"type": "number", "exclusiveMinimum": 0},
+        n_start={"type": "integer", "minimum": 2},
+        n_max={"type": "integer", "minimum": 4}),
+    "mogulskii": _command_schema(
+        ["seed", "corridor", "family", "n_list"],
+        corridor={
+            "type": "object",
+            "properties": {"g1": _BOUNDARY_SCHEMA, "g2": _BOUNDARY_SCHEMA,
+                           "sigma": {"type": "number", "exclusiveMinimum": 0}},
+            "required": ["g1", "g2", "sigma"], "additionalProperties": False,
         },
-        "required": ["law", "seed", "slopes", "n", "replicates"],
-        "additionalProperties": False,
-    },
-    "pemantle": {
-        "type": "object",
-        "properties": {
-            "law": LAW_SCHEMA,
-            "seed": {"type": "integer"},
-            "eps_grid": {"type": "array", "minItems": 1,
-                         "items": {"type": "number", "exclusiveMinimum": 0}},
-            "rel_tol": {"type": "number", "exclusiveMinimum": 0},
-            "n_start": {"type": "integer", "minimum": 2},
-            "n_max": {"type": "integer", "minimum": 4},
-            "time_budget_s": {"type": "number", "exclusiveMinimum": 0},
+        family={
+            "type": "object",
+            "properties": {"type": {"enum": ["lazy", "lattice", "spine"]},
+                           "atoms": {"type": "array"},
+                           "condition_nu": {"type": "boolean"}},
+            "required": ["type"], "additionalProperties": False,
+            "if": {"properties": {"type": {"const": "lattice"}}},
+            "then": {"required": ["atoms"]},
         },
-        "required": ["law", "eps_grid"], "additionalProperties": False,
-    },
-    "mogulskii": {
-        "type": "object",
-        "properties": {
-            "law": LAW_SCHEMA,
-            "seed": {"type": "integer"},
-            "corridor": {
-                "type": "object",
-                "properties": {"g1": _BOUNDARY_SCHEMA, "g2": _BOUNDARY_SCHEMA,
-                               "sigma": {"type": "number", "exclusiveMinimum": 0}},
-                "required": ["g1", "g2", "sigma"], "additionalProperties": False,
-            },
-            "family": {
-                "type": "object",
-                "properties": {"type": {"enum": ["lazy", "lattice", "spine"]},
-                               "atoms": {"type": "array"},
-                               "condition_nu": {"type": "boolean"}},
-                "required": ["type"], "additionalProperties": False,
-                "if": {"properties": {"type": {"const": "lattice"}}},
-                "then": {"required": ["atoms"]},
-            },
-            "n_list": {"type": "array", "minItems": 1,
-                       "items": {"type": "integer", "minimum": 2}},
-            "endpoint_b": {"type": ["number", "boolean"]},
-            "mc_replicates": {"type": "integer", "minimum": 1000000},
-            "time_budget_s": {"type": "number", "exclusiveMinimum": 0},
-        },
-        "required": ["seed", "corridor", "family", "n_list"],
-        "additionalProperties": False,
-    },
+        n_list={"type": "array", "minItems": 1, "items": {"type": "integer", "minimum": 2}},
+        endpoint_b={"type": ["number", "boolean"], "exclusiveMinimum": 0},
+        mc_replicates={"type": "integer", "minimum": 1000000}),
 }
 
 
@@ -183,7 +168,7 @@ def law_from_config(obj: dict) -> OffspringLaw:
             s = DiscreteFinite(tuple((v, p) for v, p in step["atoms"]))
         else:
             s = Gaussian(step["mean"], step["stddev"])
-        return ProductLaw(tuple((int(k), p) for k, p in obj["offspring_pmf"]), s)
+        return ProductLaw(tuple((k, p) for k, p in obj["offspring_pmf"]), s)
     return ExplicitFinite(tuple((tuple(ds), p) for ds, p in obj["outcomes"]))
 
 
@@ -302,71 +287,56 @@ def cmd_analyze(config: dict, out_path: str | None) -> int:
 # ---------------------------------------------------------------------------
 # survival
 
-def _survival_task(task: dict) -> dict:
-    vlaw = task["vlaw"]
+def _survival_row(vlaw: transform.VLaw, config: dict, task: tuple) -> list:
+    """The CSV row, in header order, of one (method, slope, n, row_seed) task."""
+    method, slope, n, row_seed = task
+    coordinate = config.get("coordinate", "V")
     started = time.perf_counter()
-    if task["method"] == "mc":
-        barrier = simulate.BarrierSpec(task["coordinate"], task["slope"])
-        est = simulate.estimate_rho(vlaw, barrier, task["n"], task["replicates"],
-                                    escape_cap=task["escape_cap"], seed=task["row_seed"])
-        row = {"estimate": est.p_hat, "ci_low": est.ci_low, "ci_high": est.ci_high,
-               "replicates": est.replicates, "cap_hits": est.cap_hits}
+    barrier = simulate.BarrierSpec(coordinate, slope)
+    if method == "mc":
+        escape_cap = config.get("escape_cap", 10_000)
+        est = simulate.estimate_rho(vlaw, barrier, n, config["replicates"],
+                                    escape_cap=math.inf if escape_cap is None else escape_cap,
+                                    seed=row_seed)
+        fields = [est.p_hat, est.ci_low, est.ci_high, est.replicates, row_seed, est.cap_hits]
     else:
         ll = oracle.LatticeLaw.from_law(vlaw.base)
-        barrier = simulate.BarrierSpec(task["coordinate"], task["slope"])
-        p = oracle.exact_path_survival(ll, task["n"], v_slope=barrier.v_slope(vlaw.profile),
+        p = oracle.exact_path_survival(ll, n, v_slope=barrier.v_slope(vlaw.profile),
                                        profile=vlaw.profile)
-        row = {"estimate": p, "ci_low": p, "ci_high": p, "replicates": 0, "cap_hits": 0}
-    runtime_ms = (time.perf_counter() - started) * 1e3 if task["record_runtime"] else 0.0
-    row.update(method=task["method"], coordinate=task["coordinate"],
-               slope=task["slope"], n=task["n"], seed=task["row_seed"],
-               runtime_ms=runtime_ms)
-    return row
+        fields = [p, p, p, 0, row_seed, 0]
+    runtime_ms = (time.perf_counter() - started) * 1e3 if config.get("record_runtime") else 0.0
+    return [method, coordinate, slope, n, *fields, runtime_ms]
 
 
 def cmd_survival(config: dict, threads: int | None):
     law = law_from_config(config["law"])
     vlaw = _certified_vlaw(law)
-    coordinate = config.get("coordinate", "V")
-    escape_cap = config.get("escape_cap", 10_000)
-    if escape_cap is None:
-        escape_cap = math.inf
     methods = ["mc"]
     if models.is_lattice(law):
         methods.append("oracle")
     else:
         print("warning: non-lattice law, oracle rows omitted", file=sys.stderr)
-
-    tasks = []
-    idx = 0
-    for slope in config["slopes"]:
-        for n in config["n"]:
-            for method in methods:
-                tasks.append({"vlaw": vlaw, "method": method, "coordinate": coordinate,
-                              "slope": slope, "n": n, "replicates": config["replicates"],
-                              "escape_cap": escape_cap,
-                              "row_seed": derive_seed(config["seed"], idx),
-                              "record_runtime": config.get("record_runtime", False)})
-                idx += 1
-    rows = _run_rows(tasks, _survival_task, threads)
-    rows.sort(key=lambda r: (r["method"], r["slope"], r["n"]))
+    grid = [(method, slope, n) for slope in config["slopes"] for n in config["n"]
+            for method in methods]
+    tasks = [(*g, derive_seed(config["seed"], idx)) for idx, g in enumerate(grid)]
+    rows = _run_rows(tasks, functools.partial(_survival_row, vlaw, config), threads)
+    rows.sort(key=lambda r: (r[0], r[2], r[3]))     # method, slope, n
     header = ["method", "coordinate", "slope", "n", "estimate", "ci_low", "ci_high",
               "replicates", "seed", "cap_hits", "runtime_ms"]
-    return header, [[r[h] for h in header] for r in rows], []
+    return header, rows, []
 
 
 # ---------------------------------------------------------------------------
 # pemantle reproduction table
 
-def _pemantle_task(task: dict) -> dict:
-    ll, profile = task["ll"], task["profile"]
-    eps_u = task["eps_u"]
+def _pemantle_row(ll, profile, config: dict, eps_u: float) -> list:
+    """The CSV row, in header order, at one eps_U."""
     eps_v = transform.barrier_map(eps_u, profile)
-    rho, n_used = oracle.rho_limit(ll, profile, eps_v, rel_tol=task["rel_tol"],
-                                   n_start=task["n_start"], n_max=task["n_max"])
-    return {"eps_U": eps_u, "eps_V": eps_v, "n_used": n_used, "rho_oracle": rho,
-            "sqrt_eps_times_log_rho": math.sqrt(eps_u) * math.log(rho) if rho > 0 else -math.inf,
-            "beta_target": -task["beta"]}
+    rho, n_used = oracle.rho_limit(ll, profile, eps_v, rel_tol=config.get("rel_tol", 0.01),
+                                   n_start=config.get("n_start", 128),
+                                   n_max=config.get("n_max", 1 << 18))
+    return [eps_u, eps_v, n_used, rho,
+            math.sqrt(eps_u) * math.log(rho) if rho > 0 else -math.inf, -profile.beta_U]
 
 
 def cmd_pemantle(config: dict, threads: int | None):
@@ -374,21 +344,15 @@ def cmd_pemantle(config: dict, threads: int | None):
     if not isinstance(law, BinaryBernoulli):
         raise LawValidationError("pemantle command needs a binary_bernoulli law")
     profile = solve_tstar(law)
-    ll = oracle.LatticeLaw.from_law(law)
-    beta = beta_bs(law.p)
-    tasks = [{"ll": ll, "profile": profile, "eps_u": e,
-              "rel_tol": config.get("rel_tol", 0.01),
-              "n_start": config.get("n_start", 128),
-              "n_max": config.get("n_max", 1 << 18), "beta": beta}
-             for e in config["eps_grid"]]
-    rows = _run_rows(tasks, _pemantle_task, threads)
-    rows.sort(key=lambda r: -r["eps_U"])
+    worker = functools.partial(_pemantle_row, oracle.LatticeLaw.from_law(law), profile, config)
+    rows = _run_rows(config["eps_grid"], worker, threads)
+    rows.sort(key=lambda r: -r[0])
     header = ["eps_U", "eps_V", "n_used", "rho_oracle",
               "sqrt_eps_times_log_rho", "beta_target"]
     footers = []
     if abs(16.0 * law.p * (1.0 - law.p) - 1.0) <= 1e-9:
         footers.append(f"aldous_rate={_fmt(aldous_rate(law.p))}")
-    return header, [[r[h] for h in header] for r in rows], footers
+    return header, rows, footers
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +426,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--escape-cap", type=int, default=None,
                         help="overrides config escape_cap")
     args = parser.parse_args(argv)
+    # an output path that cannot be created would fail only after all the work
+    if args.out is not None and (os.path.isdir(args.out)
+                                 or not os.path.isdir(os.path.dirname(args.out) or ".")):
+        print(f"bad output path: {args.out}", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         overrides = {"seed": args.seed}
         if args.command == "survival":

@@ -98,9 +98,9 @@ class ProductLaw:
     step: StepLaw
 
     def __post_init__(self):
+        if not all(float(k).is_integer() and k >= 0 for k, _ in self.offspring_pmf):
+            raise LawValidationError("ProductLaw: child counts must be integers >= 0")
         pmf = tuple((int(k), float(p)) for k, p in self.offspring_pmf)
-        if any(k < 0 for k, _ in pmf):
-            raise LawValidationError("ProductLaw: child counts must be >= 0")
         if len({k for k, _ in pmf}) != len(pmf):
             raise LawValidationError("ProductLaw: duplicate child-count atoms")
         probs = _normalize_probs([p for _, p in pmf], "ProductLaw offspring_pmf")

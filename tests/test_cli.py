@@ -87,6 +87,16 @@ def test_percolation_exit_code_survival_and_mogulskii(tmp_path, command, extra):
     assert main([command, "--config", cfg, "--threads", "1"]) == EXIT_NO_CRITICAL_POINT
 
 
+def test_fractional_child_count_rejected(tmp_path, capsys):
+    law = {"type": "product", "offspring_pmf": [[2.7, 1.0]],
+           "step": {"type": "discrete", "atoms": [[0, 0.7], [1, 0.3]]}}
+    assert main(["analyze", "--config", _write(tmp_path, "f.json", {"law": law})]) \
+        == EXIT_VALIDATION
+    law["offspring_pmf"] = [[2.0, 1.0]]
+    assert main(["analyze", "--config", _write(tmp_path, "f2.json", {"law": law})]) == EXIT_OK
+    assert "mean_children = 2\n" in capsys.readouterr().out
+
+
 def test_analyze_subcritical_exit_code(tmp_path):
     cfg = _write(tmp_path, "c.json", {
         "law": {"type": "product", "offspring_pmf": [[0, 0.6], [2, 0.4]],
@@ -108,6 +118,19 @@ def _survival_config():
     return {"law": {"type": "binary_bernoulli", "p": 0.3}, "seed": 42,
             "coordinate": "V", "slopes": [0.2, 0.1], "n": [4, 8],
             "replicates": 3000}
+
+
+@pytest.mark.parametrize("command, config", [
+    ("analyze", {"law": {"type": "binary_bernoulli", "p": 0.3}}),
+    ("survival", _survival_config()),
+])
+def test_unusable_out_path_rejected_before_work(tmp_path, capsys, command, config):
+    cfg = _write(tmp_path, "o.json", config)
+    for out in (tmp_path / "missing" / "o.csv", tmp_path):
+        assert main([command, "--config", cfg, "--out", str(out), "--threads", "1"]) \
+            == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"bad output path: {out}\n")
 
 
 def test_survival_csv_schema_and_agreement(tmp_path):
@@ -324,6 +347,14 @@ def test_mogulskii_endpoint_columns(tmp_path):
     rows = _read_rows(out)
     assert "endpoint_prob" in rows[0]
     assert 0.0 < float(rows[0]["endpoint_prob"]) <= float(rows[0]["prob"])
+
+
+@pytest.mark.parametrize("endpoint_b, code", [
+    (-0.1, EXIT_VALIDATION), (0, EXIT_VALIDATION), (True, EXIT_OK), (0.5, EXIT_OK)])
+def test_mogulskii_endpoint_b_must_be_positive(tmp_path, endpoint_b, code):
+    config = _mog_config()
+    config.update(endpoint_b=endpoint_b, n_list=[512])
+    assert main(["mogulskii", "--config", _write(tmp_path, "eb.json", config)]) == code
 
 
 def test_mogulskii_pinched_corridor_rejected(tmp_path):

@@ -52,6 +52,13 @@ def test_deterministic_displacement_rejected():
     assert any("strict-convexity" in v for v in report.violations)
 
 
+def test_fractional_child_count_rejected():
+    step = DiscreteFinite(((0.0, 0.5), (1.0, 0.5)))
+    with pytest.raises(LawValidationError, match="integers"):
+        ProductLaw(((2.5, 1.0),), step)
+    assert ProductLaw(((2.0, 1.0),), step).offspring_pmf == ((2, 1.0),)
+
+
 def test_probability_renormalization():
     law = BinaryBernoulli(0.3)
     assert mean_children(law) == 2.0

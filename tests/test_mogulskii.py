@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -272,3 +273,18 @@ def test_gaussian_spine_family_uses_mc(law_gaussian):
     rows = triangular_experiment(arr, spec, [30], mc_replicates=1_000_000, seed=8)
     assert rows[0].method == "mc"
     assert 0.0 < rows[0].prob < 1.0
+
+
+def test_sampled_corridor_memory_does_not_grow_with_n(law_gaussian):
+    # one full chunk of paths at n = 400; drawn as a single (chunk, n)
+    # matrix it peaked at about 400 MB
+    prof = solve_tstar(law_gaussian)
+    arr = ArraySpec.from_spine(make_spine(make_vlaw(law_gaussian, prof)))
+    spec = CorridorSpec.from_functions(_flat(-2.0), _flat(2.0), prof.sigma)
+    tracemalloc.start()
+    try:
+        triangular_experiment(arr, spec, [400], mc_replicates=65_536, seed=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
