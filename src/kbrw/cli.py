@@ -426,15 +426,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--escape-cap", type=int, default=None,
                         help="overrides config escape_cap")
     args = parser.parse_args(argv)
+    if args.escape_cap is not None and args.command != "survival":
+        print("--escape-cap applies only to survival", file=sys.stderr)
+        return EXIT_VALIDATION
     # an output path that cannot be created would fail only after all the work
     if args.out is not None and (os.path.isdir(args.out)
                                  or not os.path.isdir(os.path.dirname(args.out) or ".")):
         print(f"bad output path: {args.out}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        overrides = {"seed": args.seed}
-        if args.command == "survival":
-            overrides["escape_cap"] = args.escape_cap
+        overrides = {"seed": args.seed, "escape_cap": args.escape_cap}
         config = _load_config(args.config, args.command, overrides)
     except (jsonschema.ValidationError, json.JSONDecodeError, OSError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)

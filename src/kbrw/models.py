@@ -25,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import LawValidationError
+from .stats import closed_cdf
 
 PROB_TOL = 1e-12
 LATTICE_TOL = 1e-9
@@ -252,18 +253,18 @@ def _tables(law: OffspringLaw):
     if isinstance(law, ProductLaw):
         pmf = offspring_pmf(law)
         counts = np.array([k for k, _ in pmf], dtype=np.int64)
-        ccdf = np.cumsum([p for _, p in pmf])
+        ccdf = closed_cdf([p for _, p in pmf])
         out = {"kind": "product", "counts": counts, "ccdf": ccdf}
         if isinstance(law.step, DiscreteFinite):
             out["step_values"] = law.step.values
-            out["step_cdf"] = np.cumsum(law.step.probs)
+            out["step_cdf"] = closed_cdf(law.step.probs)
         else:
             out["gaussian"] = (law.step.mean, law.step.stddev)
         return out
     lens = np.array([len(ds) for ds, _ in law.outcomes], dtype=np.int64)
     flat = np.array([d for ds, _ in law.outcomes for d in ds])
     offsets = np.concatenate([[0], np.cumsum(lens)[:-1]])
-    ocdf = np.cumsum([p for _, p in law.outcomes])
+    ocdf = closed_cdf([p for _, p in law.outcomes])
     return {"kind": "explicit", "lens": lens, "flat": flat, "offsets": offsets, "ocdf": ocdf}
 
 

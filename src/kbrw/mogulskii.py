@@ -19,8 +19,8 @@ import numpy as np
 
 from . import models, oracle
 from .models import BOUNDARY_TOL, LATTICE_TOL, DiscreteFinite
-from .spine import SpineLaw
-from .stats import chunked_mean, replicate_chunks
+from .spine import PATH_BLOCK, SpineLaw
+from .stats import chunked_mean, closed_cdf, replicate_chunks
 
 SERIES_TOL = 1e-14      # series truncation for the strip probability
 N_SAMPLES = 1024        # boundary functions stored as dense samples
@@ -28,7 +28,6 @@ N_SAMPLES = 1024        # boundary functions stored as dense samples
 # changes which stream a path reads, and so every estimate
 _BM_CHUNK = 20_000
 _MC_CHUNK = 65_536
-_MC_BLOCK = 1 << 20     # path-steps drawn at once by the corridor sampler
 
 
 @dataclass(frozen=True)
@@ -298,7 +297,7 @@ def _corridor_prob(arr: ArraySpec, spec: CorridorSpec, n: int,
         endpoint = None if edge is None else tuple(map(int, bounds(edge, hi[-1], n)))
         return oracle.exact_corridor_walk(np.rint((values - c) / h).astype(np.int64), probs,
                                           *bounds(lo, hi, i), endpoint=endpoint)
-    block = max(1, _MC_BLOCK // n)
+    block = max(1, PATH_BLOCK // n)
     hits = end_hits = 0
     for _, k, rng in replicate_chunks(seed, replicates, _MC_CHUNK):
         # consecutive row blocks read the chunk's stream as one (k, n) draw would
@@ -308,7 +307,7 @@ def _corridor_prob(arr: ArraySpec, spec: CorridorSpec, n: int,
                 ms, ss = arr.gauss.gauss_s
                 s = np.cumsum(rng.normal(ms, ss, (rows, n)), axis=1)
             else:
-                idx = np.searchsorted(np.cumsum(probs), rng.random((rows, n)), side="right")
+                idx = np.searchsorted(closed_cdf(probs), rng.random((rows, n)), side="right")
                 s = np.cumsum(values[idx], axis=1)
             ok = np.all((s >= lo) & (s <= hi), axis=1)
             hits += int(ok.sum())

@@ -9,6 +9,8 @@ independent Monte Carlo routes plus exact path enumeration at small depth.
 
 The functional library is fixed and enumerable rather than accepting
 arbitrary closures, so every identity check can also be evaluated exactly.
+All three routes carry one flag per path, ``admit`` it level by level and
+``weight`` it at the end, with the same comparisons.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from . import models
 from .errors import CertificationError
 from .models import DiscreteFinite, ExplicitFinite, Gaussian, OffspringLaw, ProductLaw
 from .simulate import CHUNK, _advance
-from .stats import chunked_mean
+from .stats import chunked_mean, closed_cdf
 from .transform import VLaw
 
 MEAN_TOL = 1e-12
@@ -31,6 +33,7 @@ VAR_TOL = 1e-10
 _CHUNK = 8192  # replicate grouping for spine sampling; fixed so results
                # are independent of scheduling
 _ENUM_BUDGET = 1 << 21   # paths expected_leaf_sum_exact may enumerate
+PATH_BLOCK = 1 << 20     # path-steps a spine or corridor sampler draws at once
 
 
 @dataclass(frozen=True)
@@ -103,9 +106,9 @@ def sample_spine_paths(sp: SpineLaw, n: int, k: int, rng: np.random.Generator
         ms, ss = sp.gauss_s
         inc = rng.normal(ms, ss, (k, n))
         nu_k, nu_p = sp.gauss_nu
-        nu = nu_k[np.searchsorted(np.cumsum(nu_p), rng.random((k, n)), side="right")]
+        nu = nu_k[np.searchsorted(closed_cdf(nu_p), rng.random((k, n)), side="right")]
     else:
-        idx = np.searchsorted(np.cumsum(sp.probs), rng.random((k, n)), side="right")
+        idx = np.searchsorted(closed_cdf(sp.probs), rng.random((k, n)), side="right")
         inc = sp.s_values[idx]
         nu = sp.nu_values[idx]
     return np.cumsum(inc, axis=1), nu
@@ -116,14 +119,24 @@ def sample_spine_paths(sp: SpineLaw, n: int, k: int, rng: np.random.Generator
 
 @dataclass(frozen=True)
 class PathFunctional:
-    """Bounded functional of (path, child counts), from the fixed library."""
+    """F = prod_i 1{keep(i, S_i, nu_{i-1})} * end(S_n); a missing part is 1."""
 
     name: str
     label: str
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    keep: Callable[[int, np.ndarray, np.ndarray], np.ndarray] | None = None
+    end: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def admit(self, ok: np.ndarray, i: int, s: np.ndarray, nu: np.ndarray) -> np.ndarray:
+        return ok if self.keep is None else ok & self.keep(i, s, nu)
+
+    def weight(self, ok: np.ndarray, s_n: np.ndarray) -> np.ndarray:
+        return ok * (1.0 if self.end is None else self.end(s_n))
 
     def __call__(self, s: np.ndarray, nu: np.ndarray) -> np.ndarray:
-        return self.fn(s, nu)
+        ok = np.ones(s.shape[0], dtype=bool)
+        for i in range(s.shape[1]):
+            ok = self.admit(ok, i + 1, s[:, i], nu[:, i])
+        return self.weight(ok, s[:, -1])
 
 
 def functional(name: str, **params) -> PathFunctional:
@@ -136,30 +149,22 @@ def functional(name: str, **params) -> PathFunctional:
     below_line_maxnu(slope, r)   below_line times 1{nu_{i-1} <= r for all i}
     """
     if name == "one":
-        return PathFunctional("one", "1", lambda s, nu: np.ones(s.shape[0]))
+        return PathFunctional("one", "1")
     if name == "below_line":
         slope = params["slope"]
-        def below(s, nu, slope=slope):
-            i = np.arange(1, s.shape[1] + 1)
-            return np.all(s <= slope * i, axis=1).astype(np.float64)
-        return PathFunctional("below_line", f"1{{S_i <= {slope}*i}}", below)
+        return PathFunctional("below_line", f"1{{S_i <= {slope}*i}}",
+                              keep=lambda i, s, nu: s <= slope * i)
     if name == "band":
         w = params["half_width"]
-        def band(s, nu, w=w):
-            return np.all(np.abs(s) <= w, axis=1).astype(np.float64)
-        return PathFunctional("band", f"1{{|S_i| <= {w}}}", band)
+        return PathFunctional("band", f"1{{|S_i| <= {w}}}", keep=lambda i, s, nu: np.abs(s) <= w)
     if name == "exp_capped":
         u, cap = params.get("u", 1.0), params.get("cap", 2.0)
-        def expc(s, nu, u=u, cap=cap):
-            return np.exp(np.minimum(u * s[:, -1], cap))
-        return PathFunctional("exp_capped", f"exp(min({u}*S_n, {cap}))", expc)
+        return PathFunctional("exp_capped", f"exp(min({u}*S_n, {cap}))",
+                              end=lambda s: np.exp(np.minimum(u * s, cap)))
     if name == "below_line_maxnu":
         slope, r = params["slope"], params["r"]
-        def blmn(s, nu, slope=slope, r=r):
-            i = np.arange(1, s.shape[1] + 1)
-            return (np.all(s <= slope * i, axis=1) & np.all(nu <= r, axis=1)).astype(np.float64)
-        return PathFunctional("below_line_maxnu",
-                              f"1{{S_i <= {slope}*i, nu <= {r}}}", blmn)
+        return PathFunctional("below_line_maxnu", f"1{{S_i <= {slope}*i, nu <= {r}}}",
+                              keep=lambda i, s, nu: (s <= slope * i) & (nu <= r))
     raise ValueError(f"unknown functional id {name!r}")
 
 
@@ -204,34 +209,29 @@ def expected_leaf_sum_exact(vlaw: VLaw, n: int, func: PathFunctional) -> float:
     Uses only linearity of expectation over the branching structure: each
     length-n atom sequence contributes the product of its intensity
     weights.  Independent of the tilted-walk construction it validates.
+    Sequences grow one level at a time in lexicographic order.
     """
     v, nu, w = _joint_child_atoms(vlaw)
     a = v.size
     if a ** n > _ENUM_BUDGET:
         raise ValueError(f"{a}^{n} paths exceed the enumeration budget")
-    ids = np.arange(a ** n)
-    digits = np.empty((a ** n, n), dtype=np.int64)
-    for j in range(n):
-        digits[:, j] = (ids // a ** (n - 1 - j)) % a
-    s = np.cumsum(v[digits], axis=1)
-    weights = np.prod(w[digits], axis=1)
-    return float(np.dot(weights, np.exp(-s[:, -1]) * func(s, nu[digits])))
+    s, weights, ok = np.zeros(1), np.ones(1), np.ones(1, dtype=bool)
+    for i in range(1, n + 1):
+        s = np.repeat(s, a) + np.tile(v, s.size)
+        weights = np.repeat(weights, a) * np.tile(w, weights.size)
+        ok = func.admit(np.repeat(ok, a), i, s, np.tile(nu, ok.size))
+    return float(np.dot(weights, np.exp(-s) * func.weight(ok, s)))
 
 
 def tree_many_to_one_lhs(vlaw: VLaw, n: int, func: PathFunctional,
                          replicates: int, seed: int = 0) -> tuple[float, float]:
     """MC estimate of E[sum_{|x|=n} e^{-V(x)} F(path)] by direct tree simulation."""
     def draw(rng, k):
-        owner, v = np.arange(k), np.zeros(k)
-        paths = np.zeros((k, 0))
-        nus = np.zeros((k, 0), dtype=np.int64)
-        for _ in range(n):
+        owner, v, ok = np.arange(k), np.zeros(k), np.ones(k, dtype=bool)
+        for i in range(1, n + 1):
             owner, v, counts = _advance(vlaw, owner, v, rng)
-            paths = np.hstack([np.repeat(paths, counts, axis=0), v[:, None]])
-            nus = np.hstack([np.repeat(nus, counts, axis=0),
-                             np.repeat(counts, counts)[:, None]])
-        leaf = np.exp(-v) * func(paths, nus)
-        return np.bincount(owner, weights=leaf, minlength=k)
+            ok = func.admit(np.repeat(ok, counts), i, v, np.repeat(counts, counts))
+        return np.bincount(owner, weights=np.exp(-v) * func.weight(ok, v), minlength=k)
 
     return chunked_mean(seed, replicates, CHUNK, draw)
 
@@ -239,8 +239,10 @@ def tree_many_to_one_lhs(vlaw: VLaw, n: int, func: PathFunctional,
 def spine_many_to_one_rhs(sp: SpineLaw, n: int, func: PathFunctional,
                           replicates: int, seed: int = 0) -> tuple[float, float]:
     """MC estimate of E[F(S_1..S_n, nu_0..nu_{n-1})] by spine sampling."""
-    return chunked_mean(seed, replicates, _CHUNK,
-                        lambda rng, k: func(*sample_spine_paths(sp, n, k, rng)))
+    block = max(1, PATH_BLOCK // n)   # rows drawn at once, so memory does not grow with n
+    return chunked_mean(seed, replicates, _CHUNK, lambda rng, k: np.concatenate([
+        func(*sample_spine_paths(sp, n, min(block, k - first), rng))
+        for first in range(0, k, block)]))
 
 
 @dataclass(frozen=True)
@@ -260,7 +262,7 @@ class CheckReport:
 
 
 def many_to_one_check(law: OffspringLaw, vlaw: VLaw, sp: SpineLaw, n: int,
-                      func: PathFunctional | str, replicates: int,
+                      func: PathFunctional, replicates: int,
                       seed: int = 0) -> CheckReport:
     """Verify the many-to-one identity for one functional by two MC routes.
 
@@ -269,8 +271,6 @@ def many_to_one_check(law: OffspringLaw, vlaw: VLaw, sp: SpineLaw, n: int,
     also computed and located against both intervals.  A functional with
     zero variance on both routes is reported vacuous.
     """
-    if isinstance(func, str):
-        func = functional(func)
     lhs, lse = tree_many_to_one_lhs(vlaw, n, func, replicates, seed)
     rhs, rse = spine_many_to_one_rhs(sp, n, func, replicates, seed + 1)
     in_l = in_r = None

@@ -57,6 +57,18 @@ def replicate_chunks(seed: int, replicates: int, chunk: int):
         yield first, min(chunk, replicates - first), replicate_stream(seed, c)
 
 
+def closed_cdf(probs) -> np.ndarray:
+    """Cumulative sums of ``probs`` with their final plateau raised to 1.
+
+    Rounding can leave the total an ulp short of 1, and a uniform above it
+    would index past the table under ``searchsorted(side="right")``.  Other
+    uniforms read the same atom; a trailing zero atom is never drawn.
+    """
+    cdf = np.cumsum(probs)
+    cdf[cdf == cdf[-1]] = 1.0
+    return cdf
+
+
 def chunked_mean(seed: int, replicates: int, chunk: int, draw) -> tuple[float, float]:
     """Mean and standard error of ``replicates`` values sampled chunk by chunk.
 
@@ -83,4 +95,4 @@ def regression_slope(x, y) -> float:
 
 
 __all__ = ["Z95", "wilson_interval", "proportion_stderr", "mean_and_stderr",
-           "replicate_chunks", "chunked_mean", "regression_slope"]
+           "replicate_chunks", "closed_cdf", "chunked_mean", "regression_slope"]

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from kbrw.analysis import solve_tstar
@@ -55,3 +56,23 @@ def law_mixed_offspring():
     # supercritical GW with deaths allowed, fair Bernoulli steps
     return ProductLaw(((0, 0.2), (1, 0.3), (2, 0.3), (3, 0.2)),
                       DiscreteFinite(((0.0, 0.5), (1.0, 0.5))))
+
+
+@pytest.fixture(scope="session")
+def law_tenths():
+    # ten outcomes of probability 0.1, whose cumulative sums end at
+    # 0.9999999999999999; its spine table ends just below 1 as well
+    return ExplicitFinite(tuple(((0.0, float((j + 1) % 3)), 0.1) for j in range(10)))
+
+
+class _TopUniform:
+    """A generator stub whose uniforms are all 1 - 2**-53, the largest
+    value ``Generator.random`` can return."""
+
+    def random(self, size=None):
+        return np.full(size, 1.0 - 2.0 ** -53)
+
+
+@pytest.fixture
+def top_uniform():
+    return _TopUniform()

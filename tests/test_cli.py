@@ -87,6 +87,17 @@ def test_percolation_exit_code_survival_and_mogulskii(tmp_path, command, extra):
     assert main([command, "--config", cfg, "--threads", "1"]) == EXIT_NO_CRITICAL_POINT
 
 
+@pytest.mark.parametrize("command, config", [
+    ("analyze", "analyze_binary.json"), ("pemantle", "pemantle_binary.json"),
+    ("mogulskii", "mogulskii_lazy.json")])
+def test_escape_cap_only_for_survival(command, config, capsys):
+    # the flag was once dropped silently outside survival
+    assert main([command, "--config", str(CONFIGS / config), "--escape-cap", "5"]) \
+        == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == "" and "--escape-cap applies only to survival" in err
+
+
 def test_fractional_child_count_rejected(tmp_path, capsys):
     law = {"type": "product", "offspring_pmf": [[2.7, 1.0]],
            "step": {"type": "discrete", "atoms": [[0, 0.7], [1, 0.3]]}}

@@ -22,7 +22,8 @@ from kbrw.mogulskii import (ArraySpec, CorridorSpec, brownian_corridor_mc,
                             corridor_constant, triangular_experiment)
 from kbrw.oracle import LatticeLaw, exact_path_survival, gw_survival_to_n, rho_limit
 from kbrw.simulate import GwEmbedParams, escape_cap_sweep, estimate_M_kappa, simulate_G
-from kbrw.spine import functional, make_spine, spine_many_to_one_rhs, tree_many_to_one_lhs
+from kbrw.spine import (default_library, expected_leaf_sum_exact, functional, make_spine,
+                        spine_many_to_one_rhs, tree_many_to_one_lhs)
 from kbrw.transform import barrier_map, make_vlaw
 
 MIXED = ProductLaw(((0, 0.2), (1, 0.3), (2, 0.3), (3, 0.2)),
@@ -91,6 +92,44 @@ def test_many_to_one_routes():
     g = functional("below_line_maxnu", slope=0.5, r=2)
     assert spine_many_to_one_rhs(make_spine(vm), 4, g, 10_000, seed=6) == \
         (0.1035, 0.0030462604895670083)
+
+
+def test_exact_leaf_sums_of_the_library():
+    # every library functional by exact enumeration at n = 4; the functional
+    # below_line_maxnu(0.5, 2) is exactly 0 on EXPLICIT, whose broods of two
+    # all step above the line
+    expected = {
+        BinaryBernoulli(0.3): [1.0000000000000004, 0.6466682845672752, 0.7341259424746678,
+                               2.0112992451873795, 0.6466682845672752],
+        MIXED: [0.9999999999999992, 0.7693646476941183, 0.7049791976545013,
+                1.8589656996919106, 0.09970965834115772],
+        EXPLICIT: [1.0000000000000002, 0.5376158894385491, 0.6040245656787993,
+                   2.1139801370028732, 0.0],
+        SKEWED: [0.9999999999999994, 0.7350132356783804, 0.7350132356783804,
+                 1.951923429270486, 0.12884578469567134],
+    }
+    for law, values in expected.items():
+        vl = _vlaw(law)
+        assert [expected_leaf_sum_exact(vl, 4, f)
+                for f in default_library(vl.profile.sigma)] == values
+
+
+def test_tree_route_functionals():
+    # 400 replicates: six full chunks and a partial one
+    fs = [functional("band", half_width=2.0), functional("exp_capped", u=1.0, cap=2.0),
+          functional("below_line_maxnu", slope=1.0, r=2)]
+    expected = {
+        MIXED: [(0.7112414292211193, 0.0918796900456548),
+                (1.82390873332485, 0.13499778249952704),
+                (0.12226460968492196, 0.032625544097476755)],
+        EXPLICIT: [(0.6932153218621919, 0.07935224644125986),
+                   (1.972224916457187, 0.12431090469780234),
+                   (0.002478007851042852, 0.0005270188970702532)],
+    }
+    for law, values in expected.items():
+        vl = _vlaw(law)
+        assert [tree_many_to_one_lhs(vl, 4, f, 400, seed=11 + j)
+                for j, f in enumerate(fs)] == values
 
 
 def test_population_routines():

@@ -153,3 +153,18 @@ def test_binary_rejects_outside_interval(lo, hi):
         BinaryBernoulli(lo)
     with pytest.raises(LawValidationError):
         BinaryBernoulli(hi)
+
+
+def test_top_uniform_draws_the_last_atom(law_tenths, top_uniform):
+    # a cdf ending below 1 once sent this uniform past the end of the table
+    counts, flat = sample_broods(law_tenths, 3, top_uniform)
+    assert counts.tolist() == [2, 2, 2] and flat.tolist() == [0.0, 1.0] * 3
+    tenths = ProductLaw(tuple((k, 0.1) for k in range(1, 11)),
+                        DiscreteFinite(tuple((float(j), 0.1) for j in range(10))))
+    counts, flat = sample_broods(tenths, 2, top_uniform)
+    assert counts.tolist() == [10, 10] and flat.tolist() == [9.0] * 20
+    # a trailing atom of probability zero is never drawn
+    zero_tail = ProductLaw(((1, 0.5), (2, 0.5), (3, 0.0)),
+                           DiscreteFinite(((0.0, 0.5), (1.0, 0.5), (2.0, 0.0))))
+    counts, flat = sample_broods(zero_tail, 2, top_uniform)
+    assert counts.tolist() == [2, 2] and flat.tolist() == [1.0] * 4

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from kbrw.analysis import solve_tstar
 from kbrw.rng import replicate_stream
 from kbrw.spine import (default_library, expected_leaf_sum_exact, functional,
-                        make_spine, many_to_one_check, sample_spine_paths)
+                        make_spine, many_to_one_check, sample_spine_paths,
+                        spine_many_to_one_rhs, tree_many_to_one_lhs)
 from kbrw.transform import make_vlaw
 
 
@@ -164,3 +166,40 @@ def test_enumeration_matches_martingale(vlaw_p03):
 def test_enumeration_budget_guard(vlaw_p03):
     with pytest.raises(ValueError):
         expected_leaf_sum_exact(vlaw_p03, 40, functional("one"))
+
+
+def test_top_uniform_draws_the_last_spine_atom(law_tenths, top_uniform):
+    sp = make_spine(make_vlaw(law_tenths, solve_tstar(law_tenths)))
+    s, nu = sample_spine_paths(sp, 2, 3, top_uniform)
+    assert s[:, 0].tolist() == [sp.s_values[-1]] * 3
+    assert nu.tolist() == [[sp.nu_values[-1]] * 2] * 3
+
+
+def _peak_bytes(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tree_route_memory(vlaw_p03):
+    # one chunk of 64 replicates at n = 12; re-stacking every particle's
+    # whole path at each generation peaked at 93 MB
+    f = functional("below_line_maxnu", slope=0.5, r=2)
+    assert _peak_bytes(lambda: tree_many_to_one_lhs(vlaw_p03, 12, f, 64, seed=1)) < 32 << 20
+
+
+def test_exact_route_memory(vlaw_p03):
+    # 2^18 atom sequences; a digit matrix of all of them peaked at 125 MB
+    f = functional("below_line_maxnu", slope=0.5, r=2)
+    assert _peak_bytes(lambda: expected_leaf_sum_exact(vlaw_p03, 18, f)) < 32 << 20
+
+
+def test_spine_route_memory_does_not_grow_with_n(law_gaussian):
+    # one chunk of 8,192 paths at n = 400; drawn as whole (chunk, n)
+    # matrices it peaked at 79 MB
+    sp = make_spine(make_vlaw(law_gaussian, solve_tstar(law_gaussian)))
+    run = lambda: spine_many_to_one_rhs(sp, 400, functional("one"), 8192, seed=1)
+    assert _peak_bytes(run) < 40 << 20
