@@ -18,8 +18,7 @@ from .mogulskii import (ArraySpec, CorridorSpec, brownian_corridor_mc,
 from .oracle import LatticeLaw, exact_corridor_walk, exact_path_survival, rho_limit
 from .simulate import (BarrierSpec, GwEmbedParams, SurvivalEstimate,
                        estimate_M_kappa, estimate_rho, simulate_G)
-from .spine import (SpineLaw, functional, make_spine, many_to_one_check,
-                    sample_spine_paths)
+from .spine import SpineLaw, functional, make_spine, many_to_one_check
 from .transform import VLaw, barrier_map, make_vlaw
 
 __version__ = "0.1.0"
@@ -30,8 +29,7 @@ __all__ = [
     "CgfEvaluator", "CriticalProfile", "solve_tstar", "gamma_bs_solve",
     "beta_bs", "beta_bs_from_gamma_derivative", "aldous_rate",
     "VLaw", "make_vlaw", "barrier_map",
-    "SpineLaw", "make_spine", "sample_spine_paths",
-    "functional", "many_to_one_check",
+    "SpineLaw", "make_spine", "functional", "many_to_one_check",
     "BarrierSpec", "SurvivalEstimate", "GwEmbedParams",
     "estimate_rho", "estimate_M_kappa", "simulate_G",
     "LatticeLaw", "exact_path_survival", "exact_corridor_walk", "rho_limit",

@@ -193,8 +193,6 @@ def _boundary_from_config(obj: dict):
 # CSV plumbing
 
 def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return str(int(x))
     if isinstance(x, float):
         if math.isnan(x):
             return "nan"
@@ -244,15 +242,10 @@ def _run_rows(tasks, worker, threads: int | None):
 
 def cmd_analyze(config: dict, out_path: str | None) -> int:
     law = law_from_config(config["law"])
-    report = models.validate(law)
-    if not report.ok:
-        for v in report.violations:
-            print(f"validation failure: {v}", file=sys.stderr)
-        return EXIT_VALIDATION
     vlaw = _certified_vlaw(law)
     profile = vlaw.profile
     rows = [
-        ("mean_children", report.mean_children),
+        ("mean_children", models.mean_children(law)),
         ("t_star", profile.t_star),
         ("gamma", profile.gamma),
         ("psi_tstar", profile.psi_tstar),

@@ -6,7 +6,7 @@ stored piecewise-linear corridor; the eigenfunction series for the
 probability that a Brownian motion stays in a strip and ends in a window;
 and triangular-array experiments that push corridor probabilities toward
 the limit constant: exact by the integer-walk DP for families on a lattice
-frame, sampled otherwise.
+frame, otherwise sampled one level at a time over chunks of paths.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import models, oracle
 from .models import BOUNDARY_TOL, LATTICE_TOL, DiscreteFinite
-from .spine import PATH_BLOCK, SpineLaw
+from .spine import SpineLaw
 from .stats import chunked_mean, closed_cdf, replicate_chunks
 
 SERIES_TOL = 1e-14      # series truncation for the strip probability
@@ -277,7 +277,8 @@ def _corridor_prob(arr: ArraySpec, spec: CorridorSpec, n: int,
     (ceil lower, floor upper) with a BOUNDARY_TOL snap so exact lattice hits
     stay inclusive, the endpoint window [edge, hi_n] maps the same way, and
     the integer-walk DP is exact.  Without a frame ``replicates`` paths are
-    sampled.
+    sampled level by level, _MC_CHUNK per stream, keeping each path's partial
+    sum and whether it has stayed inside.
     """
     a = arr.a_n(n)
     i = np.arange(1, n + 1)
@@ -297,22 +298,19 @@ def _corridor_prob(arr: ArraySpec, spec: CorridorSpec, n: int,
         endpoint = None if edge is None else tuple(map(int, bounds(edge, hi[-1], n)))
         return oracle.exact_corridor_walk(np.rint((values - c) / h).astype(np.int64), probs,
                                           *bounds(lo, hi, i), endpoint=endpoint)
-    block = max(1, PATH_BLOCK // n)
+    cdf = None if arr.gauss is not None else closed_cdf(probs)
     hits = end_hits = 0
     for _, k, rng in replicate_chunks(seed, replicates, _MC_CHUNK):
-        # consecutive row blocks read the chunk's stream as one (k, n) draw would
-        for first in range(0, k, block):
-            rows = min(block, k - first)
-            if arr.gauss is not None:
-                ms, ss = arr.gauss.gauss_s
-                s = np.cumsum(rng.normal(ms, ss, (rows, n)), axis=1)
+        s, ok = np.zeros(k), np.ones(k, dtype=bool)
+        for j in range(n):
+            if cdf is None:
+                s += rng.normal(*arr.gauss.gauss_s, k)
             else:
-                idx = np.searchsorted(closed_cdf(probs), rng.random((rows, n)), side="right")
-                s = np.cumsum(values[idx], axis=1)
-            ok = np.all((s >= lo) & (s <= hi), axis=1)
-            hits += int(ok.sum())
-            if edge is not None:
-                end_hits += int((ok & (s[:, -1] >= edge)).sum())
+                s += values[np.searchsorted(cdf, rng.random(k), side="right")]
+            ok &= (s >= lo[j]) & (s <= hi[j])
+        hits += int(ok.sum())
+        if edge is not None:
+            end_hits += int((ok & (s >= edge)).sum())
     return hits / replicates, None if edge is None else end_hits / replicates
 
 

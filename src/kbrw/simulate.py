@@ -58,16 +58,12 @@ class BarrierSpec:
 
 @dataclass(frozen=True)
 class SurvivalEstimate:
-    coordinate: str
-    slope: float            # in the coordinate above
-    n: int
     replicates: int
     survivors: int
     p_hat: float
     ci_low: float
     ci_high: float
     cap_hits: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -167,12 +163,7 @@ def escape_cap_sweep(vlaw: VLaw, barrier: BarrierSpec | float, n: int,
         raise ValueError("escape_cap must be >= 1 (may be math.inf)")
     if replicates < 100:
         raise ValueError("need at least 100 replicates")
-    if isinstance(barrier, BarrierSpec):
-        coordinate, slope = barrier.coordinate, barrier.slope
-        b = barrier.v_slope(vlaw.profile)
-    else:
-        coordinate, slope = "V", float(barrier)
-        b = float(barrier)
+    b = barrier.v_slope(vlaw.profile) if isinstance(barrier, BarrierSpec) else float(barrier)
     alive = np.zeros(replicates, dtype=bool)
     peak = np.zeros(replicates, dtype=np.int64)
     for first, k, rng in replicate_chunks(seed, replicates, CHUNK):
@@ -183,10 +174,9 @@ def escape_cap_sweep(vlaw: VLaw, barrier: BarrierSpec | float, n: int,
         cap_hits = int(np.count_nonzero(peak >= cap))
         survivors = int(np.count_nonzero(alive | (peak >= cap)))
         lo, hi = wilson_interval(survivors, replicates)
-        out.append(SurvivalEstimate(coordinate=coordinate, slope=slope, n=n,
-                                    replicates=replicates, survivors=survivors,
+        out.append(SurvivalEstimate(replicates=replicates, survivors=survivors,
                                     p_hat=survivors / replicates, ci_low=lo, ci_high=hi,
-                                    cap_hits=cap_hits, seed=seed))
+                                    cap_hits=cap_hits))
     return out
 
 

@@ -10,13 +10,16 @@ independent Monte Carlo routes plus exact path enumeration at small depth.
 The functional library is fixed and enumerable rather than accepting
 arbitrary closures, so every identity check can also be evaluated exactly.
 All three routes carry one flag per path, ``admit`` it level by level and
-``weight`` it at the end, with the same comparisons.
+``weight`` it at the end, with the same comparisons.  The spine route draws
+its paths one level at a time (``sample_spine_step``), so estimates at two
+depths share the paths' common steps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -33,7 +36,6 @@ VAR_TOL = 1e-10
 _CHUNK = 8192  # replicate grouping for spine sampling; fixed so results
                # are independent of scheduling
 _ENUM_BUDGET = 1 << 21   # paths expected_leaf_sum_exact may enumerate
-PATH_BLOCK = 1 << 20     # path-steps a spine or corridor sampler draws at once
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,11 @@ class SpineLaw:
     @property
     def sigma2(self) -> float:
         return self.vlaw.profile.sigma2
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Closed cdf of the atom table, or of the counts for Gaussian steps."""
+        return closed_cdf(self.probs if self.gauss_nu is None else self.gauss_nu[1])
 
 
 def _size_biased_pmf(law: OffspringLaw) -> tuple[np.ndarray, np.ndarray]:
@@ -99,19 +106,14 @@ def make_spine(vlaw: VLaw) -> SpineLaw:
     return sp
 
 
-def sample_spine_paths(sp: SpineLaw, n: int, k: int, rng: np.random.Generator
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """k i.i.d. spine paths: partial sums S_1..S_n and counts nu_0..nu_{n-1}."""
+def sample_spine_step(sp: SpineLaw, k: int, rng: np.random.Generator
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """One level of k i.i.d. spine paths: increments S_i - S_{i-1} and counts nu_{i-1}."""
     if sp.gauss_s is not None:
-        ms, ss = sp.gauss_s
-        inc = rng.normal(ms, ss, (k, n))
-        nu_k, nu_p = sp.gauss_nu
-        nu = nu_k[np.searchsorted(closed_cdf(nu_p), rng.random((k, n)), side="right")]
-    else:
-        idx = np.searchsorted(closed_cdf(sp.probs), rng.random((k, n)), side="right")
-        inc = sp.s_values[idx]
-        nu = sp.nu_values[idx]
-    return np.cumsum(inc, axis=1), nu
+        inc = rng.normal(*sp.gauss_s, k)
+        return inc, sp.gauss_nu[0][np.searchsorted(sp.cdf, rng.random(k), side="right")]
+    idx = np.searchsorted(sp.cdf, rng.random(k), side="right")
+    return sp.s_values[idx], sp.nu_values[idx]
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +133,6 @@ class PathFunctional:
 
     def weight(self, ok: np.ndarray, s_n: np.ndarray) -> np.ndarray:
         return ok * (1.0 if self.end is None else self.end(s_n))
-
-    def __call__(self, s: np.ndarray, nu: np.ndarray) -> np.ndarray:
-        ok = np.ones(s.shape[0], dtype=bool)
-        for i in range(s.shape[1]):
-            ok = self.admit(ok, i + 1, s[:, i], nu[:, i])
-        return self.weight(ok, s[:, -1])
 
 
 def functional(name: str, **params) -> PathFunctional:
@@ -238,11 +234,20 @@ def tree_many_to_one_lhs(vlaw: VLaw, n: int, func: PathFunctional,
 
 def spine_many_to_one_rhs(sp: SpineLaw, n: int, func: PathFunctional,
                           replicates: int, seed: int = 0) -> tuple[float, float]:
-    """MC estimate of E[F(S_1..S_n, nu_0..nu_{n-1})] by spine sampling."""
-    block = max(1, PATH_BLOCK // n)   # rows drawn at once, so memory does not grow with n
-    return chunked_mean(seed, replicates, _CHUNK, lambda rng, k: np.concatenate([
-        func(*sample_spine_paths(sp, n, min(block, k - first), rng))
-        for first in range(0, k, block)]))
+    """MC estimate of E[F(S_1..S_n, nu_0..nu_{n-1})] by spine sampling.
+
+    Each chunk draws its paths one level at a time, so path j of a chunk
+    reads the same first n steps at every depth n.
+    """
+    def draw(rng, k):
+        s, ok = np.zeros(k), np.ones(k, dtype=bool)
+        for i in range(1, n + 1):
+            inc, nu = sample_spine_step(sp, k, rng)
+            s += inc
+            ok = func.admit(ok, i, s, nu)
+        return func.weight(ok, s)
+
+    return chunked_mean(seed, replicates, _CHUNK, draw)
 
 
 @dataclass(frozen=True)
@@ -290,7 +295,7 @@ def many_to_one_check(law: OffspringLaw, vlaw: VLaw, sp: SpineLaw, n: int,
 
 
 __all__ = [
-    "SpineLaw", "make_spine", "sample_spine_paths",
+    "SpineLaw", "make_spine", "sample_spine_step",
     "PathFunctional", "functional", "default_library",
     "expected_leaf_sum_exact", "tree_many_to_one_lhs", "spine_many_to_one_rhs",
     "CheckReport", "many_to_one_check",

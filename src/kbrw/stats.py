@@ -35,17 +35,6 @@ def proportion_stderr(p_hat: float, trials: int) -> float:
     return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
 
 
-def mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
-    values = np.asarray(values, dtype=np.float64)
-    n = values.size
-    if n == 0:
-        return math.nan, math.inf
-    mean = float(values.mean())
-    if n == 1:
-        return mean, math.inf
-    return mean, float(values.std(ddof=1) / math.sqrt(n))
-
-
 def replicate_chunks(seed: int, replicates: int, chunk: int):
     """Yield ``(first, k, rng)`` for consecutive chunks of ``replicates``.
 
@@ -94,5 +83,5 @@ def regression_slope(x, y) -> float:
     return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
 
 
-__all__ = ["Z95", "wilson_interval", "proportion_stderr", "mean_and_stderr",
-           "replicate_chunks", "closed_cdf", "chunked_mean", "regression_slope"]
+__all__ = ["Z95", "wilson_interval", "proportion_stderr", "replicate_chunks",
+           "closed_cdf", "chunked_mean", "regression_slope"]

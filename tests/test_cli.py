@@ -385,6 +385,23 @@ def test_mogulskii_conditioning_removing_all_mass_rejected(tmp_path):
     assert main(["mogulskii", "--config", cfg]) == EXIT_VALIDATION
 
 
+def test_mogulskii_samples_boundary_and_lattice_family(tmp_path):
+    # a constant sampled g1 and the lazy walk's atoms spelled out give the
+    # lazy affine config's data rows byte for byte
+    lazy = _mog_config()
+    lazy.update(n_list=[1000, 4000], endpoint_b=True)
+    spelled = json.loads(json.dumps(lazy))
+    spelled["corridor"]["g1"] = {"type": "samples", "values": [-1, -1, -1]}
+    spelled["family"] = {"type": "lattice", "atoms": [[-1, 1 / 3], [0, 1 / 3], [1, 1 / 3]]}
+    data = []
+    for name, config in (("lazy", lazy), ("spelled", spelled)):
+        out = tmp_path / f"{name}.csv"
+        assert main(["mogulskii", "--config", _write(tmp_path, f"{name}.json", config),
+                     "--out", str(out)]) == EXIT_OK
+        data.append(out.read_text().splitlines()[1:])
+    assert len(data[0]) == 3 and data[0] == data[1]
+
+
 def test_mogulskii_lattice_family_needs_atoms(tmp_path):
     config = _mog_config()
     config["family"] = {"type": "lattice"}

@@ -7,9 +7,15 @@ import pytest
 from kbrw.analysis import solve_tstar
 from kbrw.rng import replicate_stream
 from kbrw.spine import (default_library, expected_leaf_sum_exact, functional,
-                        make_spine, many_to_one_check, sample_spine_paths,
+                        make_spine, many_to_one_check, sample_spine_step,
                         spine_many_to_one_rhs, tree_many_to_one_lhs)
 from kbrw.transform import make_vlaw
+
+
+def _paths(sp, n, k, rng):
+    """k spine paths drawn level by level: partial sums and counts as (k, n) arrays."""
+    inc, nu = zip(*(sample_spine_step(sp, k, rng) for _ in range(n)))
+    return np.cumsum(inc, axis=0).T, np.array(nu).T
 
 
 def test_tilted_step_is_bernoulli_gamma(spine_p03, profile_p03):
@@ -40,7 +46,7 @@ def test_exponential_moment_witnesses(spine_p03, law_gaussian):
 
 
 def test_single_path_support(spine_p03, profile_p03):
-    s, nu = sample_spine_paths(spine_p03, 1, 1, replicate_stream(3, 0))
+    s, nu = _paths(spine_p03, 1, 1, replicate_stream(3, 0))
     lo = profile_p03.psi_tstar - profile_p03.t_star
     hi = profile_p03.psi_tstar
     assert s[0, 0] == pytest.approx(lo) or s[0, 0] == pytest.approx(hi)
@@ -49,7 +55,7 @@ def test_single_path_support(spine_p03, profile_p03):
 
 def test_empirical_mean_and_variance(spine_p03, profile_p03):
     k, n = 100_000, 20
-    s, _ = sample_spine_paths(spine_p03, n, k, replicate_stream(11, 0))
+    s, _ = _paths(spine_p03, n, k, replicate_stream(11, 0))
     end = s[:, -1] / n
     se = end.std(ddof=1) / math.sqrt(k)
     assert abs(end.mean()) <= 3.0 * se
@@ -75,7 +81,7 @@ def test_gaussian_spine_centered(law_gaussian):
     sp = make_spine(make_vlaw(law_gaussian, prof))
     assert abs(sp.s_mean) < 1e-12
     assert abs(sp.s_var - prof.sigma2) < 1e-10
-    s, nu = sample_spine_paths(sp, 5, 50_000, replicate_stream(7, 1))
+    s, nu = _paths(sp, 5, 50_000, replicate_stream(7, 1))
     # size-biased pmf of {1: .5, 3: .5} is {1: .25, 3: .75}
     freq3 = (nu == 3).mean()
     assert abs(freq3 - 0.75) <= 4.0 * math.sqrt(0.75 * 0.25 / nu.size)
@@ -127,7 +133,7 @@ def test_many_to_one_random_topology(law_mixed_offspring):
     assert rep.passed
     assert rep.exact_in_lhs and rep.exact_in_rhs
     # genuinely size-biased counts: nu = k with probability k p_k / m
-    s, nu = sample_spine_paths(sp, 3, 40_000, replicate_stream(5, 5))
+    s, nu = _paths(sp, 3, 40_000, replicate_stream(5, 5))
     m = 1.5
     for k, pk in ((1, 0.3), (2, 0.3), (3, 0.2)):
         target = k * pk / m
@@ -170,7 +176,7 @@ def test_enumeration_budget_guard(vlaw_p03):
 
 def test_top_uniform_draws_the_last_spine_atom(law_tenths, top_uniform):
     sp = make_spine(make_vlaw(law_tenths, solve_tstar(law_tenths)))
-    s, nu = sample_spine_paths(sp, 2, 3, top_uniform)
+    s, nu = _paths(sp, 2, 3, top_uniform)
     assert s[:, 0].tolist() == [sp.s_values[-1]] * 3
     assert nu.tolist() == [[sp.nu_values[-1]] * 2] * 3
 
@@ -203,3 +209,23 @@ def test_spine_route_memory_does_not_grow_with_n(law_gaussian):
     sp = make_spine(make_vlaw(law_gaussian, solve_tstar(law_gaussian)))
     run = lambda: spine_many_to_one_rhs(sp, 400, functional("one"), 8192, seed=1)
     assert _peak_bytes(run) < 40 << 20
+
+
+def test_routes_at_the_root(vlaw_p03, spine_p03):
+    # at n = 0 every route reads F on the empty path
+    for f in (functional("one"), functional("exp_capped", u=1.0, cap=2.0),
+              functional("below_line", slope=0.5)):
+        assert tree_many_to_one_lhs(vlaw_p03, 0, f, 200, seed=1)[0] == 1.0
+        assert spine_many_to_one_rhs(spine_p03, 0, f, 200, seed=1)[0] == 1.0
+        assert expected_leaf_sum_exact(vlaw_p03, 0, f) == 1.0
+
+
+@pytest.mark.parametrize("law", ["law_p03", "law_gaussian"])
+def test_spine_route_is_coupled_across_depth(law, request):
+    # a path reads the same first n steps at every depth, so a constraint
+    # kept at every level can only lose paths as n grows
+    law = request.getfixturevalue(law)
+    sp = make_spine(make_vlaw(law, solve_tstar(law)))
+    for f in (functional("below_line", slope=0.5), functional("band", half_width=2.0)):
+        means = [spine_many_to_one_rhs(sp, n, f, 20_000, seed=5)[0] for n in range(1, 31)]
+        assert all(b <= a for a, b in zip(means, means[1:])), f.name

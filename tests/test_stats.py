@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kbrw.stats import (mean_and_stderr, proportion_stderr, regression_slope,
-                        wilson_interval)
+from kbrw.stats import proportion_stderr, regression_slope, wilson_interval
 
 
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=10_000))
@@ -41,14 +40,6 @@ def test_proportion_stderr():
     assert proportion_stderr(0.5, 100) == pytest.approx(0.05)
     assert proportion_stderr(0.0, 100) == 0.0
     assert math.isinf(proportion_stderr(0.5, 0))
-
-
-def test_mean_and_stderr():
-    m, se = mean_and_stderr(np.array([1.0, 2.0, 3.0, 4.0]))
-    assert m == 2.5
-    assert se == pytest.approx(np.std([1, 2, 3, 4], ddof=1) / 2.0)
-    m, se = mean_and_stderr(np.array([]))
-    assert math.isnan(m) and math.isinf(se)
 
 
 def test_regression_slope_exact_line():
