@@ -52,13 +52,15 @@ CSV_SCHEMA_VERSION = "kbrw.v2"
 # ---------------------------------------------------------------------------
 # config schema
 
+# (value, probability) pairs of a finite step law
+_ATOMS_SCHEMA = {"type": "array", "minItems": 2,
+                 "items": {"type": "array", "minItems": 2, "maxItems": 2,
+                           "items": {"type": "number"}}}
+
 _STEP_SCHEMA = {
     "oneOf": [
         {"type": "object",
-         "properties": {"type": {"const": "discrete"},
-                        "atoms": {"type": "array", "minItems": 2,
-                                  "items": {"type": "array", "minItems": 2, "maxItems": 2,
-                                            "items": {"type": "number"}}}},
+         "properties": {"type": {"const": "discrete"}, "atoms": _ATOMS_SCHEMA},
          "required": ["type", "atoms"], "additionalProperties": False},
         {"type": "object",
          "properties": {"type": {"const": "gaussian"},
@@ -147,7 +149,7 @@ CONFIG_SCHEMAS = {
         family={
             "type": "object",
             "properties": {"type": {"enum": ["lazy", "lattice", "spine"]},
-                           "atoms": {"type": "array"},
+                           "atoms": _ATOMS_SCHEMA,
                            "condition_nu": {"type": "boolean"}},
             "required": ["type"], "additionalProperties": False,
             "if": {"properties": {"type": {"const": "lattice"}}},
@@ -193,13 +195,7 @@ def _boundary_from_config(obj: dict):
 # CSV plumbing
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return f"{x:.17g}"
-    return str(x)
+    return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
 def config_digest(config: dict) -> str:
@@ -366,11 +362,9 @@ def cmd_mogulskii(config: dict):
         vlaw = _certified_vlaw(law_from_config(config["law"]))
         arr = mogulskii.ArraySpec.from_spine(spine.make_spine(vlaw),
                                              condition_nu=fam.get("condition_nu", True))
-    endpoint_b = config.get("endpoint_b")
+    endpoint_b = config.get("endpoint_b") or None   # false and missing alike
     if endpoint_b is True:
         endpoint_b = mogulskii.default_endpoint_b(spec)
-    elif endpoint_b is False:
-        endpoint_b = None
     rows = mogulskii.triangular_experiment(arr, spec, config["n_list"],
                                            endpoint_b=endpoint_b,
                                            mc_replicates=config.get("mc_replicates", 1_000_000),
@@ -393,6 +387,8 @@ def cmd_mogulskii(config: dict):
 def _load_config(path: str, command: str, overrides: dict) -> dict:
     with open(path, encoding="utf-8") as fh:
         config = json.load(fh)
+    if not isinstance(config, dict):
+        raise jsonschema.ValidationError("the config must be a JSON object")
     config.update({k: v for k, v in overrides.items() if v is not None})
     jsonschema.validate(config, CONFIG_SCHEMAS[command])
     return config
@@ -430,7 +426,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         overrides = {"seed": args.seed, "escape_cap": args.escape_cap}
         config = _load_config(args.config, args.command, overrides)
-    except (jsonschema.ValidationError, json.JSONDecodeError, OSError) as exc:
+    except (jsonschema.ValidationError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     # one real-time alarm bounds the whole command; the CSV is written only

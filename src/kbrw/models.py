@@ -142,10 +142,6 @@ def mean_children(law: OffspringLaw) -> float:
     return math.fsum(k * p for k, p in offspring_pmf(law))
 
 
-def second_moment_children(law: OffspringLaw) -> float:
-    return math.fsum(k * k * p for k, p in offspring_pmf(law))
-
-
 def step_law(law: OffspringLaw) -> StepLaw | None:
     """The i.i.d. step law for product-structured families, else None."""
     if isinstance(law, BinaryBernoulli):
@@ -206,18 +202,16 @@ def mean_exp_sum(law: OffspringLaw, t: float) -> float:
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
-    mean_children: float
     violations: tuple[str, ...]
-    witnesses: dict
 
 
 def validate(law: OffspringLaw) -> ValidationReport:
-    """Check the supercriticality and moment assumptions of the model.
+    """Check the supercriticality and strict-convexity assumptions of the model.
 
-    Witnesses report E[Z], E[Z^2] (offspring moment with delta = 1) and the
-    two exponential displacement moments at delta+ = delta- = 1; all are
-    automatically finite for the supported families, so the only ways to be
-    rejected are a subcritical child count or a deterministic displacement.
+    Every moment the theory asks for is finite for the supported families
+    (finite atoms or Gaussian steps, finitely many children), so the only
+    ways to be rejected are a subcritical child count or a deterministic
+    displacement.
     """
     m = mean_children(law)
     violations = []
@@ -226,14 +220,7 @@ def validate(law: OffspringLaw) -> ValidationReport:
     atoms = intensity_atoms(law)
     if atoms is not None and len(atoms[0]) < 2:
         violations.append("strict-convexity: all displacements equal, cumulant function is affine")
-    witnesses = {
-        "mean_children": m,
-        "second_moment_children": second_moment_children(law),
-        "exp_moment_plus": mean_exp_sum(law, 1.0),
-        "exp_moment_minus": mean_exp_sum(law, -1.0),
-    }
-    return ValidationReport(ok=not violations, mean_children=m,
-                            violations=tuple(violations), witnesses=witnesses)
+    return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
 def require_valid(law: OffspringLaw) -> None:
@@ -269,11 +256,8 @@ def _tables(law: OffspringLaw):
 
 
 def _grouped_arange(lengths: np.ndarray) -> np.ndarray:
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
     starts = np.cumsum(lengths) - lengths
-    return np.arange(total, dtype=np.int64) - np.repeat(starts, lengths)
+    return np.arange(int(lengths.sum()), dtype=np.int64) - np.repeat(starts, lengths)
 
 
 def sample_broods(law: OffspringLaw, count: int, rng: np.random.Generator
@@ -307,7 +291,7 @@ def sample_broods(law: OffspringLaw, count: int, rng: np.random.Generator
 __all__ = [
     "BinaryBernoulli", "ProductLaw", "ExplicitFinite", "DiscreteFinite", "Gaussian",
     "OffspringLaw", "StepLaw", "ValidationReport",
-    "offspring_pmf", "mean_children", "second_moment_children", "step_law",
+    "offspring_pmf", "mean_children", "step_law",
     "intensity_atoms", "is_lattice", "mean_exp_sum",
     "validate", "require_valid", "sample_broods",
 ]

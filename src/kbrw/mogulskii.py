@@ -90,8 +90,6 @@ def ito_mckean_f(a: float, b: float, c: float, d: float) -> float:
         raise ValueError("need a < 0 < b")
     if not (a <= c <= d <= b):
         raise ValueError("need a <= c <= d <= b")
-    if c == d:
-        return 0.0
     L = b - a
     total = 0.0
     n = 1
@@ -230,23 +228,19 @@ class ArraySpec:
         return values, probs, tail
 
     def witnesses_at(self, n: int) -> dict:
-        """Closed-form witnesses for the three array conditions."""
+        """Closed-form mean, scaled mean, variance and removed nu-tail mass at size n."""
         if self.gauss is not None:
             ms, ss = self.gauss.gauss_s
             nu_k, nu_p = self.gauss.gauss_nu
             tail = float(nu_p[nu_k > r_n(n)].sum()) if self.condition_nu else 0.0
-            # the spine mean is certified ~0, so the centered closed form
-            # for the third absolute moment is exact to that residual
             mean, var = ms, ss * ss
-            abs3 = 2.0 * math.sqrt(2.0 / math.pi) * ss ** 3
         else:
             values, probs, tail = self.step_pmf_at(n)
             mean = float(np.dot(probs, values))
             var = float(np.dot(probs, (values - mean) ** 2))
-            abs3 = float(np.dot(probs, np.abs(values) ** 3))
         a = self.a_n(n)
         return {"mean": mean, "mean_over_an_per_n": mean * n / a,
-                "var": var, "abs_moment_3": abs3, "nu_tail": tail}
+                "var": var, "nu_tail": tail}
 
 
 @dataclass(frozen=True)
@@ -324,9 +318,9 @@ def triangular_experiment(arr: ArraySpec, spec: CorridorSpec, n_list,
     when its law is lattice) are evaluated exactly by the corridor DP;
     otherwise the probability is sampled with ``mc_replicates`` paths.
     Each row reports (a_n^2/n) log P next to the corridor constant and the
-    closed-form witnesses of the array conditions (bounded 2+eta moment,
-    vanishing scaled mean, variance convergence); a witness outside its
-    regime only warns, the experiment still runs.
+    closed-form witnesses of ``ArraySpec.witnesses_at`` (vanishing scaled
+    mean, variance convergence); a scaled mean outside its regime only
+    warns, the experiment still runs.
     """
     target = corridor_constant(spec)
     rows = []

@@ -211,8 +211,9 @@ def estimate_M_kappa(vlaw: VLaw, j_max: int = 10, replicates: int = 800,
         atoms = models.intensity_atoms(base)
         if atoms is not None:
             vmax = float(vlaw.v_increment(atoms[0]).max())
-        else:
-            vmax = float(vlaw.psi_tstar + 6.0 * vlaw.t_star * base.step.stddev)
+        else:   # the increment of a step 6 sigma below the step mean
+            vmax = float(vlaw.v_increment(base.step.mean)
+                         + 6.0 * vlaw.t_star * base.step.stddev)
         vmax = max(vmax, 1e-6)
         grid = np.linspace(0.0, 4.0 * vmax, 401)[1:]
     slack = 3.0 * math.sqrt(0.25 / replicates)

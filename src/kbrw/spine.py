@@ -17,7 +17,6 @@ depths share the paths' common steps.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -56,7 +55,6 @@ class SpineLaw:
     gauss_nu: tuple[np.ndarray, np.ndarray] | None
     s_mean: float
     s_var: float
-    exp_moment_witnesses: tuple[float, float]   # E[e^{+S_1}], E[e^{-S_1}]
 
     @property
     def sigma2(self) -> float:
@@ -88,16 +86,14 @@ def make_spine(vlaw: VLaw) -> SpineLaw:
         ss = t * sd
         nu = _size_biased_pmf(base)
         s_mean, s_var = ms, ms * ms + ss * ss  # second moment
-        wit = (math.exp(ms + 0.5 * ss * ss), math.exp(-ms + 0.5 * ss * ss))
-        sp = SpineLaw(vlaw, None, None, None, (ms, ss), nu, s_mean, s_var, wit)
+        sp = SpineLaw(vlaw, None, None, None, (ms, ss), nu, s_mean, s_var)
     else:
         s, nu, w = _joint_child_atoms(vlaw)
         probs = w * np.exp(-s)
         probs /= probs.sum()   # total is E[sum e^{-V}] = 1 up to certification residual
         s_mean = float(np.dot(probs, s))
         s_var = float(np.dot(probs, s * s))  # second moment
-        wit = (float(np.dot(probs, np.exp(s))), float(np.dot(probs, np.exp(-s))))
-        sp = SpineLaw(vlaw, s, nu, probs, None, None, s_mean, s_var, wit)
+        sp = SpineLaw(vlaw, s, nu, probs, None, None, s_mean, s_var)
     if abs(sp.s_mean) > MEAN_TOL:
         raise CertificationError(f"spine step mean {sp.s_mean:.3e} is not 0")
     if abs(sp.s_var - sp.sigma2) > VAR_TOL:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from kbrw.cli import (EXIT_NO_CRITICAL_POINT, EXIT_OK, EXIT_VALIDATION,
+from kbrw.cli import (EXIT_NO_CRITICAL_POINT, EXIT_OK, EXIT_VALIDATION, _fmt,
                       law_from_config, main)
 from kbrw.models import BinaryBernoulli, ExplicitFinite, ProductLaw
 
@@ -34,6 +34,11 @@ def test_law_from_config_families():
          "step": {"type": "discrete", "atoms": [[0, 0.5], [1, 0.5]]}}), ProductLaw)
     assert isinstance(law_from_config(
         {"type": "explicit", "outcomes": [[[0, 1], 0.5], [[1], 0.5]]}), ExplicitFinite)
+
+
+def test_fmt_non_finite_and_repr():
+    assert [_fmt(x) for x in (math.nan, math.inf, -math.inf)] == ["nan", "inf", "-inf"]
+    assert _fmt(0.1) == "0.10000000000000001" and _fmt(2) == "2" and _fmt("mc") == "mc"
 
 
 def test_analyze_p0(tmp_path, capsys):
@@ -123,6 +128,26 @@ def test_bad_config_rejected(tmp_path):
         "law": {"type": "binary_bernoulli", "p": 0.3},
         "slopes": [0.1], "n": [4], "replicates": 200})
     assert main(["survival", "--config", cfg2]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("command, text", [
+    ("analyze", "[1, 2]"),
+    ("analyze", "null"),
+    ("analyze", b'{"law": {"type": "binary_bernoulli", "p": 0.3}, "x": "\xff"}'),
+    ("mogulskii", {"family": {"type": "lattice", "atoms": [1, 2]}}),
+    ("mogulskii", {"family": {"type": "lattice", "atoms": [[None, 0.5], [1, 0.5]]}}),
+], ids=["list", "null", "not-utf8", "lattice-bare-atoms", "lattice-null-atom"])
+def test_malformed_config_is_a_bad_config(tmp_path, capsys, command, text):
+    path = tmp_path / "bad.json"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif isinstance(text, dict):
+        path.write_text(json.dumps({**_mog_config(), **text}))
+    else:
+        path.write_text(text)
+    assert main([command, "--config", str(path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "bad config" in err and "Traceback" not in err
 
 
 def _survival_config():
@@ -400,6 +425,32 @@ def test_mogulskii_samples_boundary_and_lattice_family(tmp_path):
                      "--out", str(out)]) == EXIT_OK
         data.append(out.read_text().splitlines()[1:])
     assert len(data[0]) == 3 and data[0] == data[1]
+
+
+def test_mogulskii_endpoint_b_false_same_as_missing(tmp_path):
+    data = []
+    for name, extra in (("missing", {}), ("false", {"endpoint_b": False})):
+        config = {**_mog_config(), "n_list": [512], **extra}
+        out = tmp_path / f"{name}.csv"
+        assert main(["mogulskii", "--config", _write(tmp_path, f"{name}.json", config),
+                     "--out", str(out)]) == EXIT_OK
+        data.append(out.read_text().splitlines()[1:])
+    assert len(data[0]) == 2 and data[0] == data[1]
+
+
+def test_mogulskii_spine_family_needs_law(tmp_path, capsys):
+    config = _mog_config()
+    config["family"] = {"type": "spine"}
+    assert main(["mogulskii", "--config", _write(tmp_path, "sl.json", config)]) \
+        == EXIT_VALIDATION
+    assert "needs a 'law'" in capsys.readouterr().err
+
+
+def test_mogulskii_lattice_family_needs_integer_atoms(tmp_path):
+    config = _mog_config()
+    config["family"] = {"type": "lattice", "atoms": [[-1, 0.5], [0.5, 0.5]]}
+    assert main(["mogulskii", "--config", _write(tmp_path, "li.json", config)]) \
+        == EXIT_VALIDATION
 
 
 def test_mogulskii_lattice_family_needs_atoms(tmp_path):

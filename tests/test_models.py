@@ -29,18 +29,16 @@ def test_degenerate_empty_outcome_rejected_at_validation():
 
 def test_validate_examples():
     r = validate(BinaryBernoulli(0.3))
-    assert r.ok and r.mean_children == 2.0
+    assert r.ok and r.violations == ()
 
     sub = ProductLaw(((0, 0.6), (2, 0.4)), DiscreteFinite(((0.0, 0.5), (1.0, 0.5))))
     r = validate(sub)
-    assert not r.ok and r.mean_children == pytest.approx(0.8)
+    assert not r.ok
     assert any("supercriticality" in v for v in r.violations)
 
     gauss = ProductLaw(((1, 0.5), (3, 0.5)), Gaussian(0.0, 1.0))
     r = validate(gauss)
-    assert r.ok and r.mean_children == 2.0
-    assert math.isfinite(r.witnesses["exp_moment_plus"])
-    assert math.isfinite(r.witnesses["exp_moment_minus"])
+    assert r.ok and r.violations == ()
 
 
 def test_deterministic_displacement_rejected():

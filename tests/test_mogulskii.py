@@ -58,7 +58,11 @@ def test_corridor_invariants_enforced():
 
 
 def test_ito_mckean_empty_window():
-    assert ito_mckean_f(-1.0, 1.0, 0.5, 0.5) == 0.0
+    # the series sums to +0.0 on a point window, edges and origin included
+    for a, b, c in ((-1.0, 1.0, 0.5), (-1.0, 1.0, -1.0), (-0.3, 2.0, 2.0),
+                    (-2.5, 0.7, 0.0), (-1e-3, 4.0, 1.3)):
+        f = ito_mckean_f(a, b, c, c)
+        assert f == 0.0 and math.copysign(1.0, f) == 1.0
 
 
 def test_ito_mckean_unit_strip_value():

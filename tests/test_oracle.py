@@ -74,6 +74,12 @@ def test_survival_one_generation(law_p03, profile_p03):
         pytest.approx(0.51, abs=1e-15)
 
 
+def test_survival_depth_zero_is_certain(law_p03, profile_p03):
+    ll = LatticeLaw.from_law(law_p03)
+    assert exact_path_survival(ll, 0, u_line=0.5) == 1.0
+    assert exact_path_survival(ll, 0, v_slope=0.1, profile=profile_p03) == 1.0
+
+
 def test_survival_two_generations_hand_formula(law_p03):
     ll = LatticeLaw.from_law(law_p03)
     p = 0.3

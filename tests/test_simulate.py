@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from kbrw import simulate, spine
+from kbrw.analysis import solve_tstar
 from kbrw.errors import GridExhausted
+from kbrw.models import Gaussian, ProductLaw
 from kbrw.oracle import LatticeLaw, exact_path_survival
 from kbrw.rng import replicate_stream
 from kbrw.simulate import (BarrierSpec, GwEmbedParams, escape_cap_sweep,
                            estimate_M_kappa, estimate_rho, simulate_G)
 from kbrw.spine import functional, tree_many_to_one_lhs
 from kbrw.stats import proportion_stderr
+from kbrw.transform import make_vlaw
 
 
 def test_barrier_spec_validation(profile_p03):
@@ -187,6 +190,20 @@ def test_estimate_M_kappa(vlaw_p03, profile_p03):
     assert 0.0 < kappa <= 1.0
     gw_survival = 1.0
     assert kappa <= gw_survival
+
+
+def test_estimate_M_kappa_gaussian_grid_ignores_step_mean():
+    # the centred walk of N(mu, 1) steps does not depend on mu, so neither
+    # may the default grid; without the -t* mu shift, mu = -10 ran off its end
+    results = []
+    for mu in (0.0, 3.0, -2.0, -10.0):
+        law = ProductLaw(((2, 1.0),), Gaussian(mu, 1.0))
+        vlaw = make_vlaw(law, solve_tstar(law))
+        results.append(estimate_M_kappa(vlaw, j_max=6, replicates=400, seed=3))
+    M0, kappa0 = results[0]
+    assert kappa0 == 0.435
+    for M, kappa in results[1:]:
+        assert M == pytest.approx(M0, rel=1e-14) and kappa == kappa0
 
 
 def test_estimate_M_grid_exhaustion(vlaw_p03):

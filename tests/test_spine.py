@@ -37,14 +37,6 @@ def test_size_bias_of_constant_is_constant(spine_p03):
     assert set(spine_p03.nu_values.tolist()) == {2}
 
 
-def test_exponential_moment_witnesses(spine_p03, law_gaussian):
-    up, down = spine_p03.exp_moment_witnesses
-    assert math.isfinite(up) and math.isfinite(down)
-    spg = make_spine(make_vlaw(law_gaussian, solve_tstar(law_gaussian)))
-    up, down = spg.exp_moment_witnesses
-    assert math.isfinite(up) and math.isfinite(down)
-
-
 def test_single_path_support(spine_p03, profile_p03):
     s, nu = _paths(spine_p03, 1, 1, replicate_stream(3, 0))
     lo = profile_p03.psi_tstar - profile_p03.t_star
