@@ -17,7 +17,7 @@ import numpy as np
 
 from . import models
 from .errors import DomainTooNarrow, NoCriticalPoint
-from .models import BinaryBernoulli, Gaussian, OffspringLaw, ProductLaw
+from .models import BinaryBernoulli, OffspringLaw
 
 H_TOL = 1e-12          # residual bound on t*psi'(t*) - psi(t*)
 _T_BRACKET_CAP = 1e12
@@ -26,30 +26,19 @@ _T_BRACKET_CAP = 1e12
 class CgfEvaluator:
     """Closed-form evaluator for psi and its first two derivatives.
 
-    For finite-support laws psi is a log-sum-exp over the displacement
-    intensity, evaluated with exponent shifting so large tilts do not
-    overflow; psi' and psi'' are the mean and variance of the tilted
-    displacement.  Gaussian-step product laws use the Gaussian closed form.
-    Every supported family has psi finite for all real t.
+    A displacement is an intensity atom plus a N(0, noise^2) part
+    (``models.intensity_atoms``), so psi is a log-sum-exp over the atoms,
+    shifted so large tilts do not overflow, plus (noise t)^2/2; psi' and
+    psi'' are the tilted atom's mean plus noise^2 t and its variance plus
+    noise^2.  Every supported family has psi finite for all real t.
     """
 
     def __init__(self, law: OffspringLaw):
-        atoms = models.intensity_atoms(law)
-        if atoms is None:
-            assert isinstance(law, ProductLaw) and isinstance(law.step, Gaussian)
-            self._gauss = (math.log(models.mean_children(law)), law.step.mean, law.step.stddev)
-            self._logw = self._values = None
-        else:
-            values, weights = atoms
-            self._gauss = None
-            self._values = values
-            self._logw = np.log(weights)
+        self._values, weights, self._noise = models.intensity_atoms(law)
+        self._logw = np.log(weights)
 
     def evaluate(self, t: float) -> tuple[float, float, float]:
         """Return (psi, psi', psi'') at tilt t."""
-        if self._gauss is not None:
-            logm, mu, sd = self._gauss
-            return logm + mu * t + 0.5 * (sd * t) ** 2, mu + sd * sd * t, sd * sd
         ex = t * self._values + self._logw
         mx = float(ex.max())
         w = np.exp(ex - mx)
@@ -57,7 +46,8 @@ class CgfEvaluator:
         w /= s
         mean = float(np.dot(w, self._values))
         var = float(np.dot(w, (self._values - mean) ** 2))
-        return mx + math.log(s), mean, var
+        n2 = self._noise * self._noise
+        return mx + math.log(s) + 0.5 * (self._noise * t) ** 2, mean + n2 * t, var + n2
 
 
 @dataclass(frozen=True)
@@ -80,10 +70,9 @@ class CriticalProfile:
 def _percolation_check(law: OffspringLaw) -> None:
     """Bounded laws have a critical tilt iff the mass at the maximal
     displacement is < 1; otherwise top-speed vertices percolate."""
-    atoms = models.intensity_atoms(law)
-    if atoms is None:
+    values, weights, noise = models.intensity_atoms(law)
+    if noise > 0.0:
         return  # unbounded displacements: a critical tilt always exists
-    values, weights = atoms
     top_mass = float(weights[np.argmax(values)])
     if top_mass >= 1.0:
         raise NoCriticalPoint(

@@ -34,7 +34,7 @@ import jsonschema
 import numpy as np
 
 from . import models, mogulskii, oracle, simulate, spine, transform
-from .analysis import (aldous_rate, beta_bs, beta_bs_from_gamma_derivative,
+from .analysis import (aldous_rate, beta_bs_from_gamma_derivative,
                        gamma_bs_solve, solve_tstar)
 from .errors import (CertificationError, DomainTooNarrow, GridExhausted,
                      LatticeError, LawValidationError, NoCriticalPoint)
@@ -259,7 +259,7 @@ def cmd_analyze(config: dict, out_path: str | None) -> int:
         rows += [
             ("gamma_bs_entropy_equation", g),
             ("gamma_cross_check_abs_diff", abs(g - profile.gamma)),
-            ("beta_bs", beta_bs(law.p)),
+            ("beta_bs", profile.beta_U),
         ]
         if abs(16.0 * law.p * (1.0 - law.p) - 1.0) <= 1e-9:
             # the derivative form of beta applies only at the gamma = 1/2 point
@@ -385,8 +385,10 @@ def cmd_mogulskii(config: dict):
 # entry point
 
 def _load_config(path: str, command: str, overrides: dict) -> dict:
+    def reject(name: str):
+        raise ValueError(f"{name} is not a JSON number")
     with open(path, encoding="utf-8") as fh:
-        config = json.load(fh)
+        config = json.load(fh, parse_constant=reject)
     if not isinstance(config, dict):
         raise jsonschema.ValidationError("the config must be a JSON object")
     config.update({k: v for k, v in overrides.items() if v is not None})
@@ -426,7 +428,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         overrides = {"seed": args.seed, "escape_cap": args.escape_cap}
         config = _load_config(args.config, args.command, overrides)
-    except (jsonschema.ValidationError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
+    except (jsonschema.ValidationError, ValueError, OSError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     # one real-time alarm bounds the whole command; the CSV is written only

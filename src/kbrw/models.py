@@ -151,49 +151,46 @@ def step_law(law: OffspringLaw) -> StepLaw | None:
     return None
 
 
-def intensity_atoms(law: OffspringLaw) -> tuple[np.ndarray, np.ndarray] | None:
-    """Displacement intensity measure (values, weights) for finite-support laws.
+def _step_atoms(step: StepLaw) -> tuple[np.ndarray, np.ndarray, float]:
+    """(values, probs, noise) of a step law: an atom plus a N(0, noise^2) part."""
+    if isinstance(step, Gaussian):
+        return np.array([step.mean]), np.ones(1), step.stddev
+    return step.values, step.probs, 0.0
 
-    ``weights[i]`` is the expected number of children displaced by
-    ``values[i]``; weights sum to the mean child count.  Returns None for
-    Gaussian-step laws, whose intensity has a density.
+
+def intensity_atoms(law: OffspringLaw) -> tuple[np.ndarray, np.ndarray, float]:
+    """Displacement intensity (values, weights, noise): an atom plus a N(0, noise^2) part.
+
+    ``weights[i]`` is the expected number of children whose atom is
+    ``values[i]``; weights sum to the mean child count.  Finite laws have
+    noise 0; a Gaussian step N(mu, sd) is the one atom mu with noise sd.
     """
-    if isinstance(law, ProductLaw) and isinstance(law.step, Gaussian):
-        return None
     m = mean_children(law)
     acc: dict[float, float] = {}
+    noise = 0.0
     if isinstance(law, ExplicitFinite):
         for ds, p in law.outcomes:
             for d in ds:
                 acc[d] = acc.get(d, 0.0) + p
     else:
-        step = step_law(law)
-        assert isinstance(step, DiscreteFinite)
-        for v, q in step.atoms:
+        values, probs, noise = _step_atoms(step_law(law))
+        for v, q in zip(values.tolist(), probs.tolist()):
             acc[v] = acc.get(v, 0.0) + m * q
     values = np.array(sorted(acc))
     weights = np.array([acc[v] for v in values])
-    return values, weights
+    return values, weights, noise
 
 
 def is_lattice(law: OffspringLaw) -> bool:
     """True when all displacements are integers (within 1e-9)."""
-    atoms = intensity_atoms(law)
-    if atoms is None:
-        return False
-    values, _ = atoms
-    return bool(np.all(np.abs(values - np.round(values)) <= LATTICE_TOL))
+    values, _, noise = intensity_atoms(law)
+    return noise == 0.0 and bool(np.all(np.abs(values - np.round(values)) <= LATTICE_TOL))
 
 
 def mean_exp_sum(law: OffspringLaw, t: float) -> float:
     """E[sum over children of exp(t * displacement)], in closed form."""
-    atoms = intensity_atoms(law)
-    if atoms is not None:
-        values, weights = atoms
-        return float(np.dot(weights, np.exp(t * values)))
-    assert isinstance(law, ProductLaw) and isinstance(law.step, Gaussian)
-    g = law.step
-    return mean_children(law) * math.exp(g.mean * t + 0.5 * (g.stddev * t) ** 2)
+    values, weights, noise = intensity_atoms(law)
+    return float(np.dot(weights, np.exp(t * values + 0.5 * (noise * t) ** 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +214,8 @@ def validate(law: OffspringLaw) -> ValidationReport:
     violations = []
     if not m > 1.0:
         violations.append(f"supercriticality: mean child count {m:.6g} <= 1")
-    atoms = intensity_atoms(law)
-    if atoms is not None and len(atoms[0]) < 2:
+    values, _, noise = intensity_atoms(law)
+    if noise == 0.0 and len(values) < 2:
         violations.append("strict-convexity: all displacements equal, cumulant function is affine")
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
@@ -241,13 +238,9 @@ def _tables(law: OffspringLaw):
         pmf = offspring_pmf(law)
         counts = np.array([k for k, _ in pmf], dtype=np.int64)
         ccdf = closed_cdf([p for _, p in pmf])
-        out = {"kind": "product", "counts": counts, "ccdf": ccdf}
-        if isinstance(law.step, DiscreteFinite):
-            out["step_values"] = law.step.values
-            out["step_cdf"] = closed_cdf(law.step.probs)
-        else:
-            out["gaussian"] = (law.step.mean, law.step.stddev)
-        return out
+        values, probs, noise = _step_atoms(law.step)
+        return {"kind": "product", "counts": counts, "ccdf": ccdf,
+                "step": (closed_cdf(probs), values, noise)}
     lens = np.array([len(ds) for ds, _ in law.outcomes], dtype=np.int64)
     flat = np.array([d for ds, _ in law.outcomes for d in ds])
     offsets = np.concatenate([[0], np.cumsum(lens)[:-1]])
@@ -258,6 +251,20 @@ def _tables(law: OffspringLaw):
 def _grouped_arange(lengths: np.ndarray) -> np.ndarray:
     starts = np.cumsum(lengths) - lengths
     return np.arange(int(lengths.sum()), dtype=np.int64) - np.repeat(starts, lengths)
+
+
+def _draw_atoms(cdf: np.ndarray, values: np.ndarray, noise: float, k: int,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """k draws (atom index, value) of an atom plus an independent N(0, noise^2)
+    part; the normal part is drawn first, and one atom draws no uniforms."""
+    z = rng.standard_normal(k) if noise else None
+    one = values.size == 1
+    idx = np.zeros(k, dtype=np.int64) if one else np.searchsorted(cdf, rng.random(k), side="right")
+    if z is None:
+        return idx, values[idx]
+    z *= noise   # in place, as fast as Generator.normal and with its bits
+    z += values[0] if one else values[idx]
+    return idx, z
 
 
 def sample_broods(law: OffspringLaw, count: int, rng: np.random.Generator
@@ -275,13 +282,7 @@ def sample_broods(law: OffspringLaw, count: int, rng: np.random.Generator
         return counts, flat
     if t["kind"] == "product":
         counts = t["counts"][np.searchsorted(t["ccdf"], rng.random(count), side="right")]
-        n_children = int(counts.sum())
-        if "gaussian" in t:
-            mu, sd = t["gaussian"]
-            flat = rng.normal(mu, sd, n_children)
-        else:
-            flat = t["step_values"][np.searchsorted(t["step_cdf"], rng.random(n_children), side="right")]
-        return counts, flat
+        return counts, _draw_atoms(*t["step"], int(counts.sum()), rng)[1]
     idx = np.searchsorted(t["ocdf"], rng.random(count), side="right")
     counts = t["lens"][idx]
     pos = np.repeat(t["offsets"][idx], counts) + _grouped_arange(counts)

@@ -173,7 +173,8 @@ class ArraySpec:
     step at size n is conditioned on nu <= r_n.  A ``frame`` (c, h) says
     every step is c + h k with k an integer, so S_i = i c + h K_i for an
     integer walk K and the corridor probability is exact; without a frame
-    it is sampled.  ``gauss`` holds a Gaussian spine, which is sampled.
+    it is sampled.  Each step adds an independent N(0, noise^2) part, as a
+    Gaussian spine does; such a family has no frame.
 
     ``lattice`` families are integer steps on the frame (0, 1), never
     conditioned.  ``spine`` families take the tilted step of a centered
@@ -183,10 +184,10 @@ class ArraySpec:
     law.
     """
 
-    atoms: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    atoms: tuple[np.ndarray, np.ndarray, np.ndarray]
     frame: tuple[float, float] | None = None
     condition_nu: bool = False
-    gauss: SpineLaw | None = None
+    noise: float = 0.0
 
     @classmethod
     def lattice(cls, atoms) -> "ArraySpec":
@@ -202,11 +203,9 @@ class ArraySpec:
 
     @classmethod
     def from_spine(cls, sp: SpineLaw, condition_nu: bool = True) -> "ArraySpec":
-        if sp.gauss_s is not None:
-            return cls(condition_nu=condition_nu, gauss=sp)
         vl = sp.vlaw
         frame = (vl.psi_tstar, -vl.t_star) if models.is_lattice(vl.base) else None
-        return cls((sp.s_values, sp.nu_values, sp.probs), frame, condition_nu)
+        return cls((sp.s_values, sp.nu_values, sp.probs), frame, condition_nu, sp.noise)
 
     def a_n(self, n: int) -> float:
         return float(np.cbrt(n))
@@ -229,15 +228,9 @@ class ArraySpec:
 
     def witnesses_at(self, n: int) -> dict:
         """Closed-form mean, scaled mean, variance and removed nu-tail mass at size n."""
-        if self.gauss is not None:
-            ms, ss = self.gauss.gauss_s
-            nu_k, nu_p = self.gauss.gauss_nu
-            tail = float(nu_p[nu_k > r_n(n)].sum()) if self.condition_nu else 0.0
-            mean, var = ms, ss * ss
-        else:
-            values, probs, tail = self.step_pmf_at(n)
-            mean = float(np.dot(probs, values))
-            var = float(np.dot(probs, (values - mean) ** 2))
+        values, probs, tail = self.step_pmf_at(n)
+        mean = float(np.dot(probs, values))
+        var = float(np.dot(probs, (values - mean) ** 2)) + self.noise ** 2
         a = self.a_n(n)
         return {"mean": mean, "mean_over_an_per_n": mean * n / a,
                 "var": var, "nu_tail": tail}
@@ -278,8 +271,7 @@ def _corridor_prob(arr: ArraySpec, spec: CorridorSpec, n: int,
     i = np.arange(1, n + 1)
     lo, hi = a * spec.g1(i / n), a * spec.g2(i / n)
     edge = None if endpoint_b is None else a * (float(spec.g2(1.0)) - endpoint_b)
-    if arr.gauss is None:
-        values, probs, _ = arr.step_pmf_at(n)
+    values, probs, _ = arr.step_pmf_at(n)
     if arr.frame is not None:
         c, h = arr.frame
 
@@ -292,15 +284,12 @@ def _corridor_prob(arr: ArraySpec, spec: CorridorSpec, n: int,
         endpoint = None if edge is None else tuple(map(int, bounds(edge, hi[-1], n)))
         return oracle.exact_corridor_walk(np.rint((values - c) / h).astype(np.int64), probs,
                                           *bounds(lo, hi, i), endpoint=endpoint)
-    cdf = None if arr.gauss is not None else closed_cdf(probs)
+    cdf = closed_cdf(probs)
     hits = end_hits = 0
     for _, k, rng in replicate_chunks(seed, replicates, _MC_CHUNK):
         s, ok = np.zeros(k), np.ones(k, dtype=bool)
         for j in range(n):
-            if cdf is None:
-                s += rng.normal(*arr.gauss.gauss_s, k)
-            else:
-                s += values[np.searchsorted(cdf, rng.random(k), side="right")]
+            s += models._draw_atoms(cdf, values, arr.noise, k, rng)[1]
             ok &= (s >= lo[j]) & (s <= hi[j])
         hits += int(ok.sum())
         if edge is not None:

@@ -193,7 +193,6 @@ def estimate_M_kappa(vlaw: VLaw, j_max: int = 10, replicates: int = 800,
     """
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
-    base = vlaw.base
     prefix_max = np.zeros((replicates, j_max))
     alive = np.zeros((replicates, j_max), dtype=bool)
     for first, k, rng in replicate_chunks(seed, replicates, CHUNK):
@@ -208,13 +207,9 @@ def estimate_M_kappa(vlaw: VLaw, j_max: int = 10, replicates: int = 800,
             prefix_max[first:first + k, j] = running
             alive[first + owner, j] = True
     if grid is None:
-        atoms = models.intensity_atoms(base)
-        if atoms is not None:
-            vmax = float(vlaw.v_increment(atoms[0]).max())
-        else:   # the increment of a step 6 sigma below the step mean
-            vmax = float(vlaw.v_increment(base.step.mean)
-                         + 6.0 * vlaw.t_star * base.step.stddev)
-        vmax = max(vmax, 1e-6)
+        # the largest increment, 6 standard deviations of the normal part past its atom
+        values, _, noise = models.intensity_atoms(vlaw.base)
+        vmax = max(float(vlaw.v_increment(values).max() + 6.0 * vlaw.t_star * noise), 1e-6)
         grid = np.linspace(0.0, 4.0 * vmax, 401)[1:]
     slack = 3.0 * math.sqrt(0.25 / replicates)
     js = np.arange(1, j_max + 1)

@@ -41,29 +41,24 @@ _ENUM_BUDGET = 1 << 21   # paths expected_leaf_sum_exact may enumerate
 class SpineLaw:
     """Joint law of one spine step: (increment S_1, parent child count nu_0).
 
-    Finite families carry one atom table (s, nu, prob): each per-child
-    intensity atom of ``_joint_child_atoms`` reweighted by exp(-s).  For
-    product families the two coordinates are independent (the tilt
-    factorizes); explicit families make them genuinely joint.
+    An atom table (s, nu, prob) plus an independent N(0, noise^2) part of s.
+    Finite families reweight each atom of ``_joint_child_atoms`` by exp(-s)
+    and have noise 0; a Gaussian step N(mu, sd) puts the tilted mean at each
+    child count, with noise t* sd.  Product families make s and nu
+    independent (the tilt factorizes); explicit families make them joint.
     """
 
     vlaw: VLaw
-    s_values: np.ndarray | None      # joint atoms (finite families)
-    nu_values: np.ndarray | None
-    probs: np.ndarray | None
-    gauss_s: tuple[float, float] | None   # (mean, std) of S_1 for Gaussian steps
-    gauss_nu: tuple[np.ndarray, np.ndarray] | None
+    s_values: np.ndarray
+    nu_values: np.ndarray
+    probs: np.ndarray
+    noise: float
     s_mean: float
-    s_var: float
-
-    @property
-    def sigma2(self) -> float:
-        return self.vlaw.profile.sigma2
+    s_var: float    # second moment
 
     @cached_property
     def cdf(self) -> np.ndarray:
-        """Closed cdf of the atom table, or of the counts for Gaussian steps."""
-        return closed_cdf(self.probs if self.gauss_nu is None else self.gauss_nu[1])
+        return closed_cdf(self.probs)
 
 
 def _size_biased_pmf(law: OffspringLaw) -> tuple[np.ndarray, np.ndarray]:
@@ -76,40 +71,33 @@ def _size_biased_pmf(law: OffspringLaw) -> tuple[np.ndarray, np.ndarray]:
 
 
 def make_spine(vlaw: VLaw) -> SpineLaw:
-    """Exact tilted distributions for the spine, certified against the profile."""
+    """The tilted step as an atom table plus a normal part, certified against
+    the profile: its mean must be 0 and its second moment sigma^2."""
     base = vlaw.base
     if isinstance(base, ProductLaw) and isinstance(base.step, Gaussian):
-        t, psi = vlaw.t_star, vlaw.psi_tstar
-        mu, sd = base.step.mean, base.step.stddev
-        tilted_mean_y = mu + sd * sd * t
-        ms = -t * tilted_mean_y + psi
-        ss = t * sd
-        nu = _size_biased_pmf(base)
-        s_mean, s_var = ms, ms * ms + ss * ss  # second moment
-        sp = SpineLaw(vlaw, None, None, None, (ms, ss), nu, s_mean, s_var)
+        # under the tilt a displacement is N(mu + sd^2 t*, sd^2), independent of nu
+        t, mu, sd = vlaw.t_star, base.step.mean, base.step.stddev
+        nu, probs = _size_biased_pmf(base)
+        s, noise = np.full(nu.size, -t * (mu + sd * sd * t) + vlaw.psi_tstar), t * sd
     else:
         s, nu, w = _joint_child_atoms(vlaw)
-        probs = w * np.exp(-s)
+        probs, noise = w * np.exp(-s), 0.0
         probs /= probs.sum()   # total is E[sum e^{-V}] = 1 up to certification residual
-        s_mean = float(np.dot(probs, s))
-        s_var = float(np.dot(probs, s * s))  # second moment
-        sp = SpineLaw(vlaw, s, nu, probs, None, None, s_mean, s_var)
-    if abs(sp.s_mean) > MEAN_TOL:
-        raise CertificationError(f"spine step mean {sp.s_mean:.3e} is not 0")
-    if abs(sp.s_var - sp.sigma2) > VAR_TOL:
+    s_mean = float(np.dot(probs, s))
+    s_var = float(np.dot(probs, s * s)) + noise * noise  # second moment
+    if abs(s_mean) > MEAN_TOL:
+        raise CertificationError(f"spine step mean {s_mean:.3e} is not 0")
+    if abs(s_var - vlaw.profile.sigma2) > VAR_TOL:
         raise CertificationError(
-            f"spine step second moment {sp.s_var!r} != sigma^2 {sp.sigma2!r}")
-    return sp
+            f"spine step second moment {s_var!r} != sigma^2 {vlaw.profile.sigma2!r}")
+    return SpineLaw(vlaw, s, nu, probs, noise, s_mean, s_var)
 
 
 def sample_spine_step(sp: SpineLaw, k: int, rng: np.random.Generator
                       ) -> tuple[np.ndarray, np.ndarray]:
     """One level of k i.i.d. spine paths: increments S_i - S_{i-1} and counts nu_{i-1}."""
-    if sp.gauss_s is not None:
-        inc = rng.normal(*sp.gauss_s, k)
-        return inc, sp.gauss_nu[0][np.searchsorted(sp.cdf, rng.random(k), side="right")]
-    idx = np.searchsorted(sp.cdf, rng.random(k), side="right")
-    return sp.s_values[idx], sp.nu_values[idx]
+    idx, inc = models._draw_atoms(sp.cdf, sp.s_values, sp.noise, k, rng)
+    return inc, sp.nu_values[idx]
 
 
 # ---------------------------------------------------------------------------

@@ -21,27 +21,23 @@ import numpy as np
 from . import models
 from .analysis import CriticalProfile
 from .errors import CertificationError
-from .models import Gaussian, OffspringLaw, ProductLaw
+from .models import OffspringLaw
 
 IDENTITY_TOL = 1e-12
 
 
 def _tilted_sums(law: OffspringLaw, t_star: float, psi_tstar: float, order: int
                  ) -> float:
-    """E[sum V^order exp(-V)] for order 0 or 1, in closed form, with V = -t* U + psi(t*)."""
-    atoms = models.intensity_atoms(law)
-    if atoms is not None:
-        u, lam = atoms
-        v = -t_star * u + psi_tstar
-        return float(np.dot(lam, v ** order * np.exp(-v)))
-    assert isinstance(law, ProductLaw) and isinstance(law.step, Gaussian)
-    # e^{-v} = e^{t* Y - psi}; under the tilt Y ~ N(mu + s^2 t*, s^2)
-    mu, sd = law.step.mean, law.step.stddev
-    m = models.mean_children(law)
-    mgf = math.exp(mu * t_star + 0.5 * (sd * t_star) ** 2)
-    tilted_mean_v = -t_star * (mu + sd * sd * t_star) + psi_tstar
-    base = m * mgf * math.exp(-psi_tstar)
-    return base if order == 0 else base * tilted_mean_v
+    """E[sum V^order exp(-V)] for order 0 or 1, in closed form, with V = -t* U + psi(t*).
+
+    U is an atom u plus a N(0, noise^2) part, so each atom gives (v - tau^2)^order
+    exp(-v + tau^2/2) with v = -t* u + psi and tau = t* noise.  Independent of
+    ``CgfEvaluator``: the check shares no code with the solver it certifies.
+    """
+    u, lam, noise = models.intensity_atoms(law)
+    tau2 = (t_star * noise) ** 2
+    v = -t_star * u + psi_tstar
+    return float(np.dot(lam, (v - tau2) ** order * np.exp(-v + 0.5 * tau2)))
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,27 @@ def test_analyze_p0(tmp_path, capsys):
     assert "beta_bs_derivative_form" in out
 
 
+def test_analyze_gaussian_stdout(tmp_path, capsys):
+    cfg = _write(tmp_path, "ag.json", {"law": {
+        "type": "product", "offspring_pmf": [[2, 1.0]],
+        "step": {"type": "gaussian", "mean": 0.3, "stddev": 1.5}}})
+    assert main(["analyze", "--config", cfg]) == EXIT_OK
+    assert capsys.readouterr().out == """\
+mean_children = 2
+t_star = 0.78494001501031663
+gamma = 2.0661150337732117
+psi_tstar = 1.6217763656229858
+psi2_tstar = 2.25
+sigma2 = 1.386294361119891
+beta_U = 2.9521904334034899
+beta_V = 2.6155474501253302
+tilt_identity_mean_exp_residual = 0
+tilt_identity_mean_vexp_residual = -2.2204460492503131e-16
+delta1_witness_E_sum_exp_minus_2V = 2.0000000000000009
+delta2_witness_E_sum_exp_plus_V = 16.000000000000007
+"""
+
+
 def test_analyze_p03_beta_rows(tmp_path, capsys):
     cfg = _write(tmp_path, "a3.json", {"law": {"type": "binary_bernoulli", "p": 0.3}})
     assert main(["analyze", "--config", cfg]) == EXIT_OK
@@ -148,6 +169,26 @@ def test_malformed_config_is_a_bad_config(tmp_path, capsys, command, text):
     assert main([command, "--config", str(path)]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "bad config" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, config", [
+    ("pemantle", {"law": {"type": "binary_bernoulli", "p": 0.3}, "eps_grid": [math.inf],
+                  "rel_tol": 0.01}),
+    ("mogulskii", {"corridor": {"g1": {"type": "affine", "intercept": -math.inf},
+                                "g2": {"type": "affine", "intercept": 1.0}, "sigma": 0.8}}),
+    ("survival", {"law": {"type": "binary_bernoulli", "p": 0.3}, "seed": 1,
+                  "slopes": [math.nan], "n": [4], "replicates": 100}),
+], ids=["pemantle-inf-eps", "mogulskii-minus-inf-intercept", "survival-nan-slope"])
+def test_non_finite_json_constants_are_a_bad_config(tmp_path, capsys, command, config):
+    # json.dumps writes Infinity and NaN, which are not JSON
+    if command == "mogulskii":
+        config = {**_mog_config(), **config}
+    cfg = _write(tmp_path, "nf.json", config)
+    out = tmp_path / "nf.csv"
+    assert main([command, "--config", cfg, "--out", str(out), "--threads", "1"]) \
+        == EXIT_VALIDATION
+    assert "bad config" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _survival_config():

@@ -15,13 +15,17 @@ import math
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 from kbrw.analysis import solve_tstar
 from kbrw.cli import main
-from kbrw.models import BinaryBernoulli, DiscreteFinite, ExplicitFinite, Gaussian, ProductLaw
+from kbrw.models import (BinaryBernoulli, DiscreteFinite, ExplicitFinite, Gaussian, ProductLaw,
+                         sample_broods)
 from kbrw.mogulskii import (ArraySpec, CorridorSpec, brownian_corridor_mc,
                             corridor_constant, triangular_experiment)
 from kbrw.oracle import LatticeLaw, exact_path_survival, gw_survival_to_n, rho_limit
-from kbrw.simulate import GwEmbedParams, escape_cap_sweep, estimate_M_kappa, simulate_G
+from kbrw.simulate import (GwEmbedParams, escape_cap_sweep, estimate_M_kappa, estimate_rho,
+                           simulate_G)
 from kbrw.spine import (default_library, expected_leaf_sum_exact, functional, make_spine,
                         spine_many_to_one_rhs, tree_many_to_one_lhs)
 from kbrw.transform import barrier_map, make_vlaw
@@ -33,6 +37,9 @@ SKEWED = ProductLaw(((0, 0.1), (1, 0.3), (2, 0.4), (3, 0.2)),
                     DiscreteFinite(((-1.0, 0.3), (0.0, 0.3), (2.0, 0.4))))
 # atomic broods with an empty one, so the embedded GW process can die out
 EXPLICIT = ExplicitFinite((((), 0.25), ((0.0, 1.0), 0.45), ((-1.0, 1.0, 2.0), 0.3)))
+# Gaussian steps with a random and with a fixed child count
+GAUSS_MIXED = ProductLaw(((1, 0.5), (3, 0.5)), Gaussian(0.0, 1.0))
+GAUSS_FIXED = ProductLaw(((2, 1.0),), Gaussian(0.3, 1.5))
 
 
 def _vlaw(law):
@@ -157,6 +164,51 @@ def test_population_routines():
     assert int(simulate_G(vb, params, 1000, seed=8).sum()) == 120
     sweep = escape_cap_sweep(vb, 0.1, 10, 400, [2, 8, 64, math.inf], seed=9)
     assert [e.p_hat for e in sweep] == [0.15, 0.035, 0.035, 0.035]
+
+
+def test_gaussian_profiles_and_certificates():
+    # (t*, gamma, psi, psi'', sigma^2, beta_U, beta_V), then the two tilt
+    # residuals and the two delta witnesses of make_vlaw
+    expected = {
+        GAUSS_MIXED: ((1.1774100225154747, 1.1774100225154747, 1.3862943611198906, 1.0,
+                       1.3862943611198906, 2.410453395121491, 2.6155474501253293),
+                      (0.0, 0.0, 1.9999999999999998, 16.0)),
+        GAUSS_FIXED: ((0.7849400150103166, 2.0661150337732117, 1.6217763656229858, 2.25,
+                       1.386294361119891, 2.95219043340349, 2.61554745012533),
+                      (0.0, -2.220446049250313e-16, 2.000000000000001, 16.000000000000007)),
+    }
+    for law, (profile, certificates) in expected.items():
+        p = solve_tstar(law)
+        assert (p.t_star, p.gamma, p.psi_tstar, p.psi2_tstar, p.sigma2, p.beta_U,
+                p.beta_V) == profile
+        v = make_vlaw(law, p)
+        assert (v.mean_exp_residual, v.mean_vexp_residual, v.delta1_witness,
+                v.delta2_witness) == certificates
+
+
+def test_gaussian_broods():
+    rng = np.random.default_rng(12)
+    counts, flat = sample_broods(GAUSS_MIXED, 3, rng)
+    assert (counts.tolist(), flat.tolist()) == (
+        [1, 3, 1], [0.7239565416499906, 1.6187762233340763, -1.2055581426463289,
+                    -0.6269554710763733, -1.3206632116051251])
+    counts, flat = sample_broods(GAUSS_FIXED, 2, rng)
+    assert (counts.tolist(), flat.tolist()) == (
+        [2, 2], [0.2670781705944296, 1.0438200996963325, -2.5661529962649707,
+                 0.5205962488174914])
+
+
+def test_gaussian_survival_and_spine_routes():
+    vg = _vlaw(GAUSS_MIXED)
+    est = estimate_rho(vg, 0.1, 6, 500, seed=5)
+    assert (est.survivors, est.ci_low, est.ci_high, est.cap_hits) == \
+        (4, 0.00311531518006224, 0.020387035834105168, 0)
+    # two child counts, so every level also draws the count
+    sp = make_spine(vg)
+    assert spine_many_to_one_rhs(sp, 40, functional("below_line", slope=0.5), 3000,
+                                 seed=2) == (0.4696666666666667, 0.009113413981658939)
+    assert spine_many_to_one_rhs(sp, 40, functional("band", half_width=2.0), 3000,
+                                 seed=3) == (0.0003333333333333333, 0.0003333333333333333)
 
 
 def test_gaussian_spine_corridor_row():

@@ -131,7 +131,7 @@ def test_sampling_reproducible():
 def test_structural_views(law_explicit):
     assert offspring_pmf(BinaryBernoulli(0.1)) == ((2, 1.0),)
     assert offspring_pmf(law_explicit) == ((2, 1.0),)
-    values, weights = intensity_atoms(law_explicit)
+    values, weights, _ = intensity_atoms(law_explicit)
     assert weights.sum() == pytest.approx(2.0)
     assert is_lattice(law_explicit)
     assert not is_lattice(ProductLaw(((2, 1.0),), Gaussian(0.0, 1.0)))

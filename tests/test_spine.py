@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from kbrw.analysis import solve_tstar
+from kbrw.models import Gaussian, ProductLaw
 from kbrw.rng import replicate_stream
 from kbrw.spine import (default_library, expected_leaf_sum_exact, functional,
                         make_spine, many_to_one_check, sample_spine_step,
@@ -221,3 +222,17 @@ def test_spine_route_is_coupled_across_depth(law, request):
     for f in (functional("below_line", slope=0.5), functional("band", half_width=2.0)):
         means = [spine_many_to_one_rhs(sp, n, f, 20_000, seed=5)[0] for n in range(1, 31)]
         assert all(b <= a for a, b in zip(means, means[1:])), f.name
+
+
+def test_single_count_gaussian_spine_step_draws_only_normals():
+    # with one child count nu is fixed, so a level reads k normals and no
+    # uniforms: the generator ends where a twin that drew only the normals does
+    law = ProductLaw(((2, 1.0),), Gaussian(0.3, 1.5))
+    sp = make_spine(make_vlaw(law, solve_tstar(law)))
+    rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+    inc, nu = sample_spine_step(sp, 1000, rng)
+    z = twin.normal(size=1000)
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert nu.tolist() == [2] * 1000
+    t, psi = sp.vlaw.t_star, sp.vlaw.psi_tstar
+    assert np.allclose(inc, -t * (0.3 + 1.5 ** 2 * t) + psi + t * 1.5 * z, rtol=0, atol=1e-12)

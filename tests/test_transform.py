@@ -23,7 +23,7 @@ def test_identities_binary(law_p03, profile_p03):
 def test_identities_closed_form_sum(law_p03, profile_p03):
     # independent oracle: direct sum over the displacement intensity
     t, psi = profile_p03.t_star, profile_p03.psi_tstar
-    u, lam = intensity_atoms(law_p03)
+    u, lam, _ = intensity_atoms(law_p03)
     v = -t * u + psi
     assert np.dot(lam, np.exp(-v)) == pytest.approx(1.0, abs=1e-14)
     assert abs(np.dot(lam, v * np.exp(-v))) < 1e-12
