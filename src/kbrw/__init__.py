@@ -7,7 +7,7 @@ decay law of the survival probability together with the supporting
 tilted-walk and small-deviation machinery.
 """
 
-from .analysis import (CgfEvaluator, CriticalProfile, aldous_rate, beta_bs,
+from .analysis import (CgfEvaluator, CriticalProfile, aldous_rate,
                        beta_bs_from_gamma_derivative, gamma_bs_solve, solve_tstar)
 from .errors import (CertificationError, DomainTooNarrow, GridExhausted,
                      LatticeError, LawValidationError, NoCriticalPoint)
@@ -27,7 +27,7 @@ __all__ = [
     "BinaryBernoulli", "ProductLaw", "ExplicitFinite", "DiscreteFinite", "Gaussian",
     "OffspringLaw", "StepLaw", "validate",
     "CgfEvaluator", "CriticalProfile", "solve_tstar", "gamma_bs_solve",
-    "beta_bs", "beta_bs_from_gamma_derivative", "aldous_rate",
+    "beta_bs_from_gamma_derivative", "aldous_rate",
     "VLaw", "make_vlaw", "barrier_map",
     "SpineLaw", "make_spine", "functional", "many_to_one_check",
     "BarrierSpec", "SurvivalEstimate", "GwEmbedParams",

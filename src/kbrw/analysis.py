@@ -17,7 +17,7 @@ import numpy as np
 
 from . import models
 from .errors import DomainTooNarrow, NoCriticalPoint
-from .models import BinaryBernoulli, OffspringLaw
+from .models import OffspringLaw
 
 H_TOL = 1e-12          # residual bound on t*psi'(t*) - psi(t*)
 _T_BRACKET_CAP = 1e12
@@ -154,11 +154,6 @@ def gamma_bs_solve(p: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def beta_bs(p: float) -> float:
-    """Decay constant of the binary Bernoulli survival probability."""
-    return solve_tstar(BinaryBernoulli(p)).beta_U
-
-
 def central_difference(f, x: float, step: float) -> float:
     return (f(x + step) - f(x - step)) / (2.0 * step)
 
@@ -168,7 +163,8 @@ def beta_bs_from_gamma_derivative(p0: float, step: float = 1e-6) -> float:
 
     Uses (pi/4) * sqrt(gamma'(p0)/(1-2 p0)) * log(1/(4 p0)) with gamma'
     estimated by a central finite difference of the entropy-equation solver.
-    Must agree with ``beta_bs(p0)`` to about 1e-4 relative.
+    Must agree with ``solve_tstar(BinaryBernoulli(p0)).beta_U`` to about
+    1e-4 relative.
     """
     gprime = central_difference(gamma_bs_solve, p0, step)
     return math.pi / 4.0 * math.sqrt(gprime / (1.0 - 2.0 * p0)) * math.log(1.0 / (4.0 * p0))
@@ -183,6 +179,6 @@ def aldous_rate(p0: float) -> float:
 
 __all__ = [
     "CgfEvaluator", "CriticalProfile", "solve_tstar",
-    "gamma_bs_solve", "beta_bs", "beta_bs_from_gamma_derivative",
+    "gamma_bs_solve", "beta_bs_from_gamma_derivative",
     "aldous_rate", "central_difference", "H_TOL",
 ]

@@ -24,13 +24,11 @@ import functools
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import signal
 import sys
 import time
 
-import jsonschema
 import numpy as np
 
 from . import models, mogulskii, oracle, simulate, spine, transform
@@ -160,6 +158,80 @@ CONFIG_SCHEMAS = {
         mc_replicates={"type": "integer", "minimum": 1000000}),
 }
 
+def _is_type(value, name: str) -> bool:
+    """JSON types: a bool is not a number, and 2.0 is an integer."""
+    if isinstance(value, bool):
+        return name == "boolean"
+    if name == "number":
+        return isinstance(value, (int, float))
+    if name == "integer":
+        return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    return isinstance(value, {"object": dict, "array": list, "null": type(None),
+                              "boolean": bool}[name])
+
+
+def _check(schema, value, path: str = "config") -> None:
+    """Raise ValueError naming the first place where ``value`` breaks ``schema``.
+
+    Draft 2020-12 semantics for the keywords and values that CONFIG_SCHEMAS
+    use (every const and enum is a string, and the alternatives of every
+    oneOf differ in a ``type`` const), so configs pass or fail as under
+    ``jsonschema.validate``, which would cost each run about 0.1 s to import
+    and to check the schema.
+    """
+    def fail(message: str):
+        raise ValueError(f"{path}: {message}")
+    if schema is False:
+        fail("is not allowed here")
+    names = schema.get("type", ())
+    names = [names] if isinstance(names, str) else names
+    if names and not any(_is_type(value, t) for t in names):
+        fail(f"{value!r} is not of type {' or '.join(names)}")
+    if "const" in schema and value != schema["const"]:
+        fail(f"{value!r} is not {schema['const']!r}")
+    if "enum" in schema and value not in schema["enum"]:
+        fail(f"{value!r} is not one of {schema['enum']!r}")
+    if _is_type(value, "number"):
+        if value < schema.get("minimum", -math.inf):
+            fail(f"{value!r} is less than {schema['minimum']!r}")
+        if value <= schema.get("exclusiveMinimum", -math.inf):
+            fail(f"{value!r} is not above {schema['exclusiveMinimum']!r}")
+        if value >= schema.get("exclusiveMaximum", math.inf):
+            fail(f"{value!r} is not below {schema['exclusiveMaximum']!r}")
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            fail(f"has fewer than {schema['minItems']} items")
+        if len(value) > schema.get("maxItems", math.inf):
+            fail(f"has more than {schema['maxItems']} items")
+        prefix = schema.get("prefixItems", [])
+        for k, item in enumerate(value):
+            _check(prefix[k] if k < len(prefix) else schema.get("items", {}),
+                   item, f"{path}[{k}]")
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        for key, item in value.items():
+            _check(properties.get(key, schema.get("additionalProperties", {})),
+                   item, f"{path}.{key}")
+        for key in schema.get("required", ()):
+            if key not in value:
+                fail(f"{key!r} is a required property")
+    if "oneOf" in schema:
+        errors = []
+        for alternative in schema["oneOf"]:
+            try:
+                _check(alternative, value, path)
+            except ValueError as exc:
+                errors.append(str(exc))
+        if len(errors) == len(schema["oneOf"]):
+            fail(f"fits none of the alternatives ({'; '.join(errors)})")
+    if "if" in schema:
+        try:
+            _check(schema["if"], value, path)
+        except ValueError:
+            pass
+        else:
+            _check(schema["then"], value, path)
+
 
 def law_from_config(obj: dict) -> OffspringLaw:
     if obj["type"] == "binary_bernoulli":
@@ -229,6 +301,7 @@ def _run_rows(tasks, worker, threads: int | None):
     workers = min(threads, len(tasks))
     if workers <= 1:
         return [worker(t) for t in tasks]
+    import multiprocessing      # only a pool needs it, and it costs start-up time
     with multiprocessing.Pool(workers) as pool:
         return list(pool.imap(worker, tasks))
 
@@ -284,7 +357,7 @@ def _survival_row(vlaw: transform.VLaw, config: dict, task: tuple) -> list:
     barrier = simulate.BarrierSpec(coordinate, slope)
     if method == "mc":
         escape_cap = config.get("escape_cap", 10_000)
-        est = simulate.estimate_rho(vlaw, barrier, n, config["replicates"],
+        est = simulate.estimate_rho(vlaw, barrier, n, int(config["replicates"]),
                                     escape_cap=math.inf if escape_cap is None else escape_cap,
                                     seed=row_seed)
         fields = [est.p_hat, est.ci_low, est.ci_high, est.replicates, row_seed, est.cap_hits]
@@ -305,7 +378,7 @@ def cmd_survival(config: dict, threads: int | None):
         methods.append("oracle")
     else:
         print("warning: non-lattice law, oracle rows omitted", file=sys.stderr)
-    grid = [(method, slope, n) for slope in config["slopes"] for n in config["n"]
+    grid = [(method, slope, int(n)) for slope in config["slopes"] for n in config["n"]
             for method in methods]
     tasks = [(*g, derive_seed(config["seed"], idx)) for idx, g in enumerate(grid)]
     rows = _run_rows(tasks, functools.partial(_survival_row, vlaw, config), threads)
@@ -322,8 +395,8 @@ def _pemantle_row(ll, profile, config: dict, eps_u: float) -> list:
     """The CSV row, in header order, at one eps_U."""
     eps_v = transform.barrier_map(eps_u, profile)
     rho, n_used = oracle.rho_limit(ll, profile, eps_v, rel_tol=config.get("rel_tol", 0.01),
-                                   n_start=config.get("n_start", 128),
-                                   n_max=config.get("n_max", 1 << 18))
+                                   n_start=int(config.get("n_start", 128)),
+                                   n_max=int(config.get("n_max", 1 << 18)))
     return [eps_u, eps_v, n_used, rho,
             math.sqrt(eps_u) * math.log(rho) if rho > 0 else -math.inf, -profile.beta_U]
 
@@ -387,12 +460,22 @@ def cmd_mogulskii(config: dict):
 def _load_config(path: str, command: str, overrides: dict) -> dict:
     def reject(name: str):
         raise ValueError(f"{name} is not a JSON number")
+
+    def finite(text: str) -> float:
+        x = float(text)
+        if not math.isfinite(x):        # such as 1e999, or an integer of 400 digits
+            raise ValueError(f"{text} is beyond the range of a double")
+        return x
+
+    def whole(text: str) -> int:
+        finite(text)
+        return int(text)
     with open(path, encoding="utf-8") as fh:
-        config = json.load(fh, parse_constant=reject)
+        config = json.load(fh, parse_constant=reject, parse_float=finite, parse_int=whole)
     if not isinstance(config, dict):
-        raise jsonschema.ValidationError("the config must be a JSON object")
+        raise ValueError("the config must be a JSON object")
     config.update({k: v for k, v in overrides.items() if v is not None})
-    jsonschema.validate(config, CONFIG_SCHEMAS[command])
+    _check(CONFIG_SCHEMAS[command], config)
     return config
 
 
@@ -428,7 +511,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         overrides = {"seed": args.seed, "escape_cap": args.escape_cap}
         config = _load_config(args.config, args.command, overrides)
-    except (jsonschema.ValidationError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     # one real-time alarm bounds the whole command; the CSV is written only
@@ -439,7 +522,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         try:
             if budget is not None:
-                signal.setitimer(signal.ITIMER_REAL, budget)
+                # setitimer cannot take 1e300 s; a budget of 30 years never fires anyway
+                signal.setitimer(signal.ITIMER_REAL, min(budget, 1e9))
             if args.command == "analyze":
                 return cmd_analyze(config, args.out)
             if args.command == "survival":

@@ -51,8 +51,12 @@ class CorridorSpec:
         g2 = np.asarray(self.g2_samples)
         if not (g1[0] < 0.0 < g2[0]):
             raise ValueError("need g1(0) < 0 < g2(0)")
-        if not np.all(g2 - g1 > 0.0):
+        with np.errstate(over="ignore"):
+            w = g2 - g1
+        if not np.all(w > 0.0):
             raise ValueError("corridor pinches: g2 - g1 must stay positive")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("corridor too wide: g2 - g1 overflows a double")
 
     @classmethod
     def from_functions(cls, g1, g2, sigma: float) -> "CorridorSpec":
@@ -75,7 +79,9 @@ def corridor_constant(spec: CorridorSpec) -> float:
     integral dt / width^2.
     """
     w = np.subtract(spec.g2_samples, spec.g1_samples)
-    integral = math.fsum(np.diff(spec.ts) / (w[:-1] * w[1:]))
+    # w0*w1 overflows only where dt/(w0*w1) is below the least normal double
+    with np.errstate(over="ignore"):
+        integral = math.fsum(np.diff(spec.ts) / (w[:-1] * w[1:]))
     return -0.5 * math.pi ** 2 * spec.sigma ** 2 * integral
 
 
@@ -278,8 +284,12 @@ def _corridor_prob(arr: ArraySpec, spec: CorridorSpec, n: int,
         def bounds(lo, hi, i):
             if h < 0:   # K runs against S
                 lo, hi = hi, lo
-            return (np.ceil((lo - i * c) / h - BOUNDARY_TOL).astype(np.int64),
-                    np.floor((hi - i * c) / h + BOUNDARY_TOL).astype(np.int64))
+            k = (np.ceil((lo - i * c) / h - BOUNDARY_TOL),
+                 np.floor((hi - i * c) / h + BOUNDARY_TOL))
+            if not all(np.all(np.abs(b) < 2.0 ** 63) for b in k):
+                raise ValueError(f"the corridor at n={n} has lattice bounds "
+                                 "beyond the int64 range")
+            return tuple(b.astype(np.int64) for b in k)
 
         endpoint = None if edge is None else tuple(map(int, bounds(edge, hi[-1], n)))
         return oracle.exact_corridor_walk(np.rint((values - c) / h).astype(np.int64), probs,

@@ -108,8 +108,10 @@ def exact_path_survival(ll: LatticeLaw, n: int, *, v_slope: float | None = None,
     if n <= 0:
         return 1.0
 
-    lower = _lower_bounds(c, n)
     u_min, u_max = ll.u_min, ll.u_max
+    # a line below the lowest step (above the highest) spares (kills) every
+    # lineage, as one a unit past that step does; clipping keeps c*i castable
+    lower = _lower_bounds(min(max(c, u_min - 1), u_max + 1), n)
     depths = np.arange(1, n + 1)
     if np.any(lower > depths * u_max):
         # the line outruns every lineage

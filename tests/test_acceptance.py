@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from kbrw.analysis import (beta_bs, beta_bs_from_gamma_derivative, solve_tstar)
+from kbrw.analysis import beta_bs_from_gamma_derivative, solve_tstar
 from kbrw.cli import main
 from kbrw.models import (BinaryBernoulli, DiscreteFinite, ExplicitFinite,
                          Gaussian, ProductLaw)
@@ -64,7 +64,7 @@ def test_criterion_01_critical_constants():
 
 def test_criterion_02_beta_cross_check():
     start = time.perf_counter()
-    direct = beta_bs(P0)
+    direct = solve_tstar(BinaryBernoulli(P0)).beta_U
     derived = beta_bs_from_gamma_derivative(P0, step=1e-6)
     rel = abs(direct - derived) / direct
     _report(2, rel < 1e-4,

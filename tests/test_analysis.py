@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kbrw.analysis import (CgfEvaluator, aldous_rate, beta_bs,
+from kbrw.analysis import (CgfEvaluator, aldous_rate,
                            beta_bs_from_gamma_derivative, central_difference,
                            gamma_bs_solve, solve_tstar)
 from kbrw.errors import DomainTooNarrow, NoCriticalPoint
@@ -12,6 +12,11 @@ from kbrw.models import (BinaryBernoulli, DiscreteFinite, ExplicitFinite,
 
 P0 = 0.0669872981077807
 T_STAR_P0 = math.log(7.0 + 4.0 * math.sqrt(3.0))
+
+
+def beta_bs(p):
+    """Decay constant of the binary Bernoulli(p) survival probability."""
+    return solve_tstar(BinaryBernoulli(p)).beta_U
 
 
 def _bisect_tstar(ev, lo=1e-9, hi=64.0):

@@ -1,11 +1,16 @@
 import json
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+from kbrw import cli
+from kbrw.analysis import solve_tstar
 from kbrw.cli import (EXIT_NO_CRITICAL_POINT, EXIT_OK, EXIT_VALIDATION, _fmt,
                       law_from_config, main)
 from kbrw.models import BinaryBernoulli, ExplicitFinite, ProductLaw
@@ -286,8 +291,7 @@ def test_pemantle_reproduction(tmp_path):
     assert main(["pemantle", "--config", cfg, "--out", str(out)]) == EXIT_OK
     rows = _read_rows(out)
     assert len(rows) == 2
-    from kbrw.analysis import beta_bs
-    target = -beta_bs(0.3)
+    target = -solve_tstar(BinaryBernoulli(0.3)).beta_U
     for r in rows:
         assert float(r["beta_target"]) == pytest.approx(target, rel=1e-12)
         assert float(r["eps_V"]) == pytest.approx(float(r["eps_U"]) * 2.702669287840495,
@@ -513,3 +517,189 @@ def test_mogulskii_spine_family(tmp_path):
     assert main(["mogulskii", "--config", cfg, "--out", str(out)]) == EXIT_OK
     rows = _read_rows(out)
     assert 0.0 < float(rows[0]["prob"]) < 1.0
+
+
+# ---------------------------------------------------------------------------
+# the in-house config checker and the start-up cost it saves
+
+def test_cli_import_loads_neither_jsonschema_nor_multiprocessing():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = ("import sys, kbrw.cli; "
+            "print([m for m in ('jsonschema', 'multiprocessing') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
+
+
+def _schema_keywords(schema):
+    """Every keyword used in ``schema``, at any depth."""
+    if not isinstance(schema, dict):
+        return set()
+    found = set(schema)
+    for key, sub in schema.items():
+        if key == "properties":
+            subs = sub.values()
+        elif key in ("oneOf", "prefixItems"):
+            subs = sub
+        elif key in ("items", "additionalProperties", "if", "then"):
+            subs = [sub]
+        else:
+            subs = []
+        for s in subs:
+            found |= _schema_keywords(s)
+    return found
+
+
+def test_check_reads_every_keyword_the_schemas_use():
+    # the keywords cli._check handles; a schema that starts using another
+    # one needs a line there first
+    handled = {"type", "properties", "required", "additionalProperties",
+               "items", "prefixItems", "minItems", "maxItems",
+               "const", "enum", "minimum", "exclusiveMinimum", "exclusiveMaximum",
+               "oneOf", "if", "then"}
+    used = set().union(*map(_schema_keywords, cli.CONFIG_SCHEMAS.values()))
+    assert used == handled
+
+
+# configs the suite above rejects or accepts for their schema, by command
+_SCHEMA_CASES = [
+    ("analyze", {"law": {"type": "binary_bernoulli"}}),
+    ("analyze", {"law": {"type": "binary_bernoulli", "p": 0.3}, "time_budget_s": 1}),
+    ("analyze", {"law": {"type": "product", "offspring_pmf": [[2.7, 1.0]],
+                         "step": {"type": "discrete", "atoms": [[0, 0.7], [1, 0.3]]}}}),
+    ("analyze", {"law": {"type": "product", "offspring_pmf": [[2.0, 1.0]],
+                         "step": {"type": "discrete", "atoms": [[0, 0.7], [1, 0.3]]}}}),
+    ("analyze", {"law": {"type": "product", "offspring_pmf": [[2, 1.0]],
+                         "step": {"type": "gaussian", "mean": 0.3, "stddev": 1.5}}}),
+    ("analyze", {"law": {"type": "explicit", "outcomes": [[[0, 1], 0.5], [[1], 0.5]]}}),
+    ("survival", {"law": {"type": "binary_bernoulli", "p": 0.3},
+                  "slopes": [0.1], "n": [4], "replicates": 200}),
+    ("survival", {**_survival_config(), "escape_cap": None, "record_runtime": True}),
+    ("survival", {**_survival_config(), "replicates": 1000.0, "n": [6.0]}),
+    ("survival", {**_survival_config(), "seed": True}),
+    ("pemantle", {"law": {"type": "binary_bernoulli", "p": 0.3}, "eps_grid": [0.05],
+                  "n_start": 128.0, "n_max": 3}),
+    ("mogulskii", {**_mog_config(), "family": {"type": "lattice", "atoms": [1, 2]}}),
+    ("mogulskii", {**_mog_config(), "family": {"type": "lattice",
+                                               "atoms": [[None, 0.5], [1, 0.5]]}}),
+    ("mogulskii", {**_mog_config(), "family": {"type": "lattice"}}),
+    ("mogulskii", {**_mog_config(), "family": {"type": "spine", "condition_nu": True}}),
+    ("mogulskii", {**_mog_config(), "endpoint_b": -0.1}),
+    ("mogulskii", {**_mog_config(), "endpoint_b": 0}),
+    ("mogulskii", {**_mog_config(), "endpoint_b": True}),
+    ("mogulskii", {**_mog_config(), "endpoint_b": False}),
+    ("mogulskii", {**_mog_config(), "corridor": {
+        "g1": {"type": "samples", "values": [-1, -1, -1]},
+        "g2": {"type": "affine", "intercept": 1.0, "slope": -2.5}, "sigma": 0.8}}),
+]
+
+_REPLACEMENTS = [None, True, False, 0, 1, -1, 2.0, 2.5, 100, 1e300, -1e300, 1_000_000,
+                 "x", "lattice", "affine", [], [1], [[1, 0.5], [2, 0.5]], {},
+                 {"type": "affine", "intercept": 1.0}]
+
+
+def _mutations(value):
+    """Every config that differs from ``value`` in one place: one entry
+    replaced or removed, or one added (an unknown key, or a copy of a list's
+    last item)."""
+    yield from _REPLACEMENTS
+    if isinstance(value, dict):
+        yield {**value, "extra": 1}
+        for key, item in value.items():
+            yield {k: v for k, v in value.items() if k != key}
+            for m in _mutations(item):
+                yield {**value, key: m}
+    elif isinstance(value, list):
+        yield value + value[-1:]
+        for k, item in enumerate(value):
+            yield value[:k] + value[k + 1:]
+            for m in _mutations(item):
+                yield value[:k] + [m] + value[k + 1:]
+
+
+def test_check_agrees_with_jsonschema():
+    import jsonschema
+    cases = [(command, json.loads((CONFIGS / f"{command}_{suffix}.json").read_text()))
+             for command, suffix in (("analyze", "binary"), ("survival", "binary"),
+                                     ("pemantle", "binary"), ("mogulskii", "lazy"))]
+    cases += _SCHEMA_CASES
+    verdicts = {True: 0, False: 0}
+    for command, config in cases:
+        schema = cli.CONFIG_SCHEMAS[command]
+        reference = jsonschema.validators.validator_for(schema)(schema)
+        for candidate in (config, *_mutations(config)):
+            try:
+                cli._check(schema, candidate)
+                ours = True
+            except ValueError:
+                ours = False
+            assert ours == reference.is_valid(candidate), (command, candidate)
+            verdicts[ours] += 1
+    # both verdicts are well represented
+    assert min(verdicts.values()) > 500
+
+
+def test_bad_config_message_names_the_key(tmp_path, capsys):
+    cfg = _write(tmp_path, "k.json", {**_survival_config(), "replicates": 99})
+    assert main(["survival", "--config", cfg]) == EXIT_VALIDATION
+    assert "bad config: config.replicates: 99 is less than 100" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("number", ["1e999", "1" + "0" * 400])
+def test_overflowing_number_is_a_bad_config(tmp_path, capsys, number):
+    # valid JSON, but Python would read the first as inf, and the second is
+    # an int that no double holds
+    path = tmp_path / "o.json"
+    path.write_text(f'{{"law": {{"type": "binary_bernoulli", "p": 0.3}}, "eps_grid": [{number}]}}')
+    assert main(["pemantle", "--config", str(path)]) == EXIT_VALIDATION
+    assert f"bad config: {number} is beyond the range of a double" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config, floats", [
+    ("survival", {**_survival_config(), "slopes": [0.1], "replicates": 1000},
+     {"replicates": 1000.0}),
+    ("survival", {**_survival_config(), "slopes": [0.1], "replicates": 1000},
+     {"n": [4.0, 8.0]}),
+    ("pemantle", {"law": {"type": "binary_bernoulli", "p": 0.3}, "eps_grid": [0.05],
+                  "n_start": 64, "n_max": 1024}, {"n_start": 64.0, "n_max": 1024.0}),
+], ids=["survival-replicates", "survival-n", "pemantle-n_start"])
+def test_integral_float_counts_run_as_ints(tmp_path, command, config, floats):
+    # JSON Schema counts 1000.0 as an integer, so the commands must too
+    data = []
+    for name, cfg in (("ints", config), ("floats", {**config, **floats})):
+        out = tmp_path / f"{name}.csv"
+        assert main([command, "--config", _write(tmp_path, f"{name}.json", cfg),
+                     "--out", str(out), "--threads", "1"]) == EXIT_OK
+        data.append(out.read_text().splitlines()[1:])
+    assert len(data[0]) > 1 and data[0] == data[1]
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_eps_is_a_line_below_every_lineage(tmp_path):
+    cfg = _write(tmp_path, "he.json", {"law": {"type": "binary_bernoulli", "p": 0.3},
+                                       "eps_grid": [1e300]})
+    out = tmp_path / "he.csv"
+    assert main(["pemantle", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert float(_read_rows(out)[0]["rho_oracle"]) == 1.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("g1, g2, message", [
+    (-1e300, 1.0, "corridor at n=1000 has lattice bounds beyond the int64 range"),
+    (-1e308, 1e308, "corridor too wide: g2 - g1 overflows a double"),
+])
+def test_huge_corridor_rejected(tmp_path, capsys, g1, g2, message):
+    config = _mog_config()
+    config["corridor"]["g1"]["intercept"] = g1
+    config["corridor"]["g2"]["intercept"] = g2
+    assert main(["mogulskii", "--config", _write(tmp_path, "hc.json", config)]) \
+        == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
+
+def test_huge_time_budget_runs(tmp_path):
+    cfg = _write(tmp_path, "tb.json", {"law": {"type": "binary_bernoulli", "p": 0.3},
+                                       "eps_grid": [0.2], "time_budget_s": 1e300})
+    assert main(["pemantle", "--config", cfg, "--out", str(tmp_path / "tb.csv")]) == EXIT_OK

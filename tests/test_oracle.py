@@ -96,6 +96,11 @@ def test_vacuous_barrier_equals_gw_survival(law_p03, law_mixed_offspring):
     # binary tree never dies
     llb = LatticeLaw.from_law(law_p03)
     assert exact_path_survival(llb, 9, u_line=0.0) == pytest.approx(1.0)
+    # lines far past every step, whose c*i once overflowed the int64 cast
+    for n in (3, 300):
+        assert exact_path_survival(llb, n, u_line=-1e300) == \
+            exact_path_survival(llb, n, u_line=-1.0)
+        assert exact_path_survival(llb, n, u_line=1e300) == 0.0
 
 
 def test_dp_equals_recursion_depth_12(law_p03, profile_p03):
