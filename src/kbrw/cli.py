@@ -391,23 +391,28 @@ def cmd_survival(config: dict, threads: int | None):
 # ---------------------------------------------------------------------------
 # pemantle reproduction table
 
-def _pemantle_row(ll, profile, config: dict, eps_u: float) -> list:
+def _pemantle_row(ll, profile, rel_tol: float, n_start: int, n_max: int, eps_u: float) -> list:
     """The CSV row, in header order, at one eps_U."""
     eps_v = transform.barrier_map(eps_u, profile)
-    rho, n_used = oracle.rho_limit(ll, profile, eps_v, rel_tol=config.get("rel_tol", 0.01),
-                                   n_start=int(config.get("n_start", 128)),
-                                   n_max=int(config.get("n_max", 1 << 18)))
+    rho, n_used = oracle.rho_limit(ll, profile, eps_v, rel_tol=rel_tol,
+                                   n_start=n_start, n_max=n_max)
     return [eps_u, eps_v, n_used, rho,
             math.sqrt(eps_u) * math.log(rho) if rho > 0 else -math.inf, -profile.beta_U]
 
 
 def cmd_pemantle(config: dict, threads: int | None):
+    n_start, n_max = int(config.get("n_start", 128)), int(config.get("n_max", 1 << 18))
+    if n_start >= n_max:
+        raise ValueError(f"n_start = {n_start} leaves no doubling below n_max = {n_max}")
     law = law_from_config(config["law"])
     if not isinstance(law, BinaryBernoulli):
         raise LawValidationError("pemantle command needs a binary_bernoulli law")
     profile = solve_tstar(law)
-    worker = functools.partial(_pemantle_row, oracle.LatticeLaw.from_law(law), profile, config)
-    rows = _run_rows(config["eps_grid"], worker, threads)
+    worker = functools.partial(_pemantle_row, oracle.LatticeLaw.from_law(law), profile,
+                               config.get("rel_tol", 0.01), n_start, n_max)
+    # n_used grows about as eps_U^(-3/2), so the deepest rows go first and
+    # the pool does not end on one long row started last
+    rows = _run_rows(sorted(config["eps_grid"]), worker, threads)
     rows.sort(key=lambda r: -r[0])
     header = ["eps_U", "eps_V", "n_used", "rho_oracle",
               "sqrt_eps_times_log_rho", "beta_target"]

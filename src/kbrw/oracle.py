@@ -118,26 +118,33 @@ def exact_path_survival(ll: LatticeLaw, n: int, *, v_slope: float | None = None,
         return 0.0
     span = u_max - u_min + 1
     # lowest alive sum at levels 0..n
-    lows = [0] + np.maximum(lower, depths * u_min).tolist()
+    lows = np.concatenate(([0], np.maximum(lower, depths * u_min)))
 
     # level(child, width): R of ``width`` sums whose step-y children read
     # child[i + y - u_min]
     if ll.outcomes is None:
         # H(m) = m * sum_i d_i (1 - m)^i with tails d_i = P(Z > i) >= 0: every
         # term is nonnegative, so the error stays relative for every m
-        d = np.cumsum(ll.pgf_coeffs[:0:-1])[::-1].tolist() or [0.0]
-        moves = [(y - u_min, q) for y, q in zip(ll.step_values, ll.step_probs)]
+        d = list(np.cumsum(ll.pgf_coeffs[:0:-1])[::-1]) or [0.0]
+        top, inner, d0 = d[-1], d[-2:0:-1], d[0]
+        # numpy scalars, so that no level converts a Python float
+        (o0, q0), *moves = [(y - u_min, np.float64(q))
+                            for y, q in zip(ll.step_values, ll.step_probs)]
 
         def level(child: np.ndarray, width: int) -> np.ndarray:
-            (o, q), *rest = moves
-            m = q * child[o: o + width]
-            for o, q in rest:
+            m = q0 * child[o0: o0 + width]
+            for o, q in moves:
                 m += q * child[o: o + width]
+            if len(d) == 1:
+                return top * m
+            # Horner in x = 1 - m from top * x, which gives the very products
+            # that a vector filled with top would
             x = 1.0 - m
-            r = np.full(width, d[-1])
-            for a in d[-2::-1]:
-                r *= x
+            r = top * x
+            for a in inner:
                 r += a
+                r *= x
+            r += d0
             r *= m
             return r
     else:
@@ -157,7 +164,8 @@ def exact_path_survival(ll: LatticeLaw, n: int, *, v_slope: float | None = None,
     # ``child`` holds level j+1: zeros on the ``gap`` sums below lo1 (killed),
     # R on [lo1, top1), then ``pad``, ``span`` copies of the saturation value
     # g_k.  The gap reaches the lowest child of the next level's window.
-    gap = max(0, max(a - b for a, b in zip(lows[1:], lows)) - u_min)
+    gap = max(0, int(np.diff(lows).max()) - u_min)
+    lows = lows.tolist()
     zeros = np.zeros(gap)
     pad = np.ones(span)             # g_0 = 1: every leaf survives
     lo1 = top1 = lows[n]
@@ -294,7 +302,10 @@ def rho_limit(ll: LatticeLaw, profile: CriticalProfile, v_slope: float,
 
     Doubles n until the relative change across one doubling falls below
     ``rel_tol`` (the finite-n proxy for the infinite-ray probability);
-    returns (value, n at which the rule triggered).
+    returns (value, n at which the rule triggered).  Each doubling reruns
+    the DP from its own leaf, so the cost is n_start + 2 n_start + ... +
+    n_used = 2 n_used - n_start levels, about half of them spent on the
+    depths before the last.
     """
     n = n_start
     prev = exact_path_survival(ll, n, v_slope=v_slope, profile=profile)

@@ -304,6 +304,22 @@ def test_pemantle_reproduction(tmp_path):
     assert out.read_bytes() == out2.read_bytes()
 
 
+def test_pemantle_rows_independent_of_grid_order(tmp_path):
+    # rows run deepest first and are written sorted, so neither the order of
+    # eps_grid nor the thread count moves a byte after the first line, whose
+    # config digest hashes eps_grid in its order
+    config = json.loads((CONFIGS / "pemantle_binary.json").read_text())
+    bodies = set()
+    for grid in (config["eps_grid"], config["eps_grid"][::-1]):
+        cfg = _write(tmp_path, "po.json", dict(config, eps_grid=grid))
+        for threads in ("1", "2"):
+            out = tmp_path / f"po{threads}.csv"
+            assert main(["pemantle", "--config", cfg, "--out", str(out),
+                         "--threads", threads]) == EXIT_OK
+            bodies.add(out.read_bytes().split(b"\n", 1)[1])
+    assert len(bodies) == 1
+
+
 def test_survival_escape_cap_flag_override(tmp_path):
     config = _survival_config()
     config["slopes"], config["n"] = [1e6], [20]  # no barrier: population explodes
@@ -374,6 +390,20 @@ def test_pemantle_depth_cap_exit_code(tmp_path):
         "law": {"type": "binary_bernoulli", "p": 0.3},
         "eps_grid": [0.05], "rel_tol": 1e-9, "n_start": 4, "n_max": 16})
     assert main(["pemantle", "--config", cfg]) == EXIT_BUDGET
+
+
+@pytest.mark.parametrize("n_start, n_max", [(512, 256), (256, 256), (None, 128)])
+def test_pemantle_rejects_depths_without_a_doubling(tmp_path, capsys, monkeypatch,
+                                                    n_start, n_max):
+    # rho_limit could not double once, so the config is refused before any DP
+    def no_dp(*args, **kwargs):
+        raise AssertionError("a DP ran")
+    monkeypatch.setattr(cli.oracle, "rho_limit", no_dp)
+    config = {"law": {"type": "binary_bernoulli", "p": 0.3}, "eps_grid": [0.05],
+              "n_start": n_start, "n_max": n_max}
+    cfg = _write(tmp_path, "pn.json", {k: v for k, v in config.items() if v is not None})
+    assert main(["pemantle", "--config", cfg, "--threads", "1"]) == EXIT_VALIDATION
+    assert "n_max" in capsys.readouterr().err
 
 
 def test_pemantle_p0_footer(tmp_path):

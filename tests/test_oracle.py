@@ -411,6 +411,9 @@ EXPLICIT = ExplicitFinite((((), 0.25), ((0.0, 1.0), 0.45), ((-1.0, 1.0, 2.0), 0.
 # broods of 30, most children killed: H(m) expanded in powers of m cancels
 # to 1e-10 relative here
 BIG_BROOD = ProductLaw(((0, 0.1), (30, 0.9)), DiscreteFinite(((-1.0, 0.9), (1.0, 0.1))))
+# offspring 0 or 1: the tail polynomial is a constant, so the product-law
+# level does no Horner step
+ONE_CHILD = ProductLaw(((0, 0.4), (1, 0.6)), DiscreteFinite(((0.0, 0.5), (1.0, 0.5))))
 
 
 def _kill_windows(ll, c, n):
@@ -476,8 +479,8 @@ def _float_survival_untrimmed(ll, c, n):
     return float(r[0])
 
 
-@pytest.mark.parametrize("law", [BinaryBernoulli(0.3), SKEWED, EXPLICIT, BIG_BROOD],
-                         ids=["binary", "skewed", "explicit", "big_brood"])
+@pytest.mark.parametrize("law", [BinaryBernoulli(0.3), SKEWED, EXPLICIT, BIG_BROOD, ONE_CHILD],
+                         ids=["binary", "skewed", "explicit", "big_brood", "one_child"])
 def test_path_survival_relative_to_40_digits(law):
     ll = LatticeLaw.from_law(law)
     for c in (-0.5, 0.0, 0.4, 0.77, 0.95):
@@ -503,5 +506,37 @@ def test_trimmed_window_matches_untrimmed(law_p03, profile_p03):
     v = barrier_map(0.003, profile_p03)
     c = (profile_p03.psi_tstar - v) / profile_p03.t_star
     ref = _float_survival_untrimmed(ll, c, 4096)
-    assert exact_path_survival(ll, 4096, v_slope=v, profile=profile_p03) == \
-        pytest.approx(ref, rel=1e-13, abs=0.0)
+    got = exact_path_survival(ll, 4096, v_slope=v, profile=profile_p03)
+    assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+    # and its exact value, which a rewrite of the level must keep
+    assert got == 9.911838188456576e-11
+
+
+# exact values of exact_path_survival at u_line -0.5, 0.4, 0.95 (rows) and
+# n = 1, 7, 300 (columns), for laws whose levels run 0, 1, 2 and 29 Horner steps
+PRODUCT_PINS = {
+    "one_child": (ONE_CHILD, [
+        [0.6, 0.027993599999999997, 2.7885286769598023e-67],
+        [0.3, 0.009622799999999997, 7.0229892043090204e-68],
+        [0.3, 0.00021869999999999998, 8.128908994918945e-135]]),
+    "binary": (BinaryBernoulli(0.3), [
+        [1.0, 1.0, 1.0],
+        [0.51, 0.45873336711052926, 0.45840936069208393],
+        [0.51, 0.01996629091143024, 7.738575688359826e-40]]),
+    "skewed": (SKEWED, [
+        [0.7686000000000002, 0.6911457259407136, 0.6906468155213749],
+        [0.5328000000000002, 0.4232098770889891, 0.4211066449918859],
+        [0.5328000000000002, 0.30443399622215517, 0.2887147625900421]]),
+    "big_brood": (BIG_BROOD, [
+        [0.8618479575523056, 0.8468523239648789, 0.8468523239648789],
+        [0.8618479575523056, 0.8345680439872037, 0.8345680439872037],
+        [0.8618479575523056, 0.8339844273929792, 0.8339817442132821]]),
+}
+
+
+@pytest.mark.parametrize("name", PRODUCT_PINS)
+def test_product_law_level_pins(name):
+    law, values = PRODUCT_PINS[name]
+    ll = LatticeLaw.from_law(law)
+    assert [[exact_path_survival(ll, n, u_line=c) for n in (1, 7, 300)]
+            for c in (-0.5, 0.4, 0.95)] == values
