@@ -229,37 +229,28 @@ def require_valid(law: OffspringLaw) -> None:
 # ---------------------------------------------------------------------------
 # sampling
 
-@lru_cache(maxsize=None)
-def _tables(law: OffspringLaw):
-    """Per-law sampling tables (cdf arrays, flattened outcomes)."""
-    if isinstance(law, BinaryBernoulli):
-        return {"kind": "binary", "p": law.p}
-    if isinstance(law, ProductLaw):
-        pmf = offspring_pmf(law)
-        counts = np.array([k for k, _ in pmf], dtype=np.int64)
-        ccdf = closed_cdf([p for _, p in pmf])
-        values, probs, noise = _step_atoms(law.step)
-        return {"kind": "product", "counts": counts, "ccdf": ccdf,
-                "step": (closed_cdf(probs), values, noise)}
-    lens = np.array([len(ds) for ds, _ in law.outcomes], dtype=np.int64)
-    flat = np.array([d for ds, _ in law.outcomes for d in ds])
-    offsets = np.concatenate([[0], np.cumsum(lens)[:-1]])
-    ocdf = closed_cdf([p for _, p in law.outcomes])
-    return {"kind": "explicit", "lens": lens, "flat": flat, "offsets": offsets, "ocdf": ocdf}
+def _stream_draws(method: str, ends, rngs) -> np.ndarray:
+    """Draws of several streams, concatenated in stream order.
+
+    Stream i draws ``ends[i] - ends[i - 1]`` values (``ends[0]`` for i = 0)
+    by its method ``method``; a stream with nothing to draw is not called.
+    """
+    parts = [getattr(rng, method)(end - start)
+             for start, end, rng in zip([0, *ends], ends, rngs) if end > start]
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts) if parts else np.empty(0)
 
 
-def _grouped_arange(lengths: np.ndarray) -> np.ndarray:
-    starts = np.cumsum(lengths) - lengths
-    return np.arange(int(lengths.sum()), dtype=np.int64) - np.repeat(starts, lengths)
-
-
-def _draw_atoms(cdf: np.ndarray, values: np.ndarray, noise: float, k: int,
-                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """k draws (atom index, value) of an atom plus an independent N(0, noise^2)
-    part; the normal part is drawn first, and one atom draws no uniforms."""
-    z = rng.standard_normal(k) if noise else None
+def _draw_atoms(cdf: np.ndarray, values: np.ndarray, noise: float, ends, rngs
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Draws (atom index, value) of an atom plus an independent N(0, noise^2)
+    part, ``ends`` as in ``_stream_draws``.  Each stream draws its normal
+    parts first, and one atom draws no uniforms."""
+    z = _stream_draws("standard_normal", ends, rngs) if noise else None
     one = values.size == 1
-    idx = np.zeros(k, dtype=np.int64) if one else np.searchsorted(cdf, rng.random(k), side="right")
+    idx = (np.zeros(ends[-1], dtype=np.int64) if one else
+           np.searchsorted(cdf, _stream_draws("random", ends, rngs), side="right"))
     if z is None:
         return idx, values[idx]
     z *= noise   # in place, as fast as Generator.normal and with its bits
@@ -267,26 +258,63 @@ def _draw_atoms(cdf: np.ndarray, values: np.ndarray, noise: float, k: int,
     return idx, z
 
 
+def _grouped_arange(lengths: np.ndarray) -> np.ndarray:
+    starts = np.cumsum(lengths) - lengths
+    return np.arange(int(lengths.sum()), dtype=np.int64) - np.repeat(starts, lengths)
+
+
+@lru_cache(maxsize=None)
+def brood_sampler(law: OffspringLaw):
+    """The law's brood sampler ``sample(ends, rngs) -> (counts, flat)``.
+
+    Stream ``rngs[i]`` draws broods ``ends[i - 1] .. ends[i] - 1`` (from 0
+    for i = 0).  ``counts`` holds every brood's size and ``flat`` the child
+    displacements, both in brood order.  Each stream draws exactly what it
+    would draw alone, in the same order: its count uniforms, then its normal
+    parts, then its atom uniforms.  So broods do not depend on which streams
+    are sampled together.  The sampling tables are built once per law.
+    """
+    if isinstance(law, BinaryBernoulli):
+        p = law.p
+
+        def sample(ends, rngs):
+            u = _stream_draws("random", [2 * e for e in ends], rngs)
+            return np.full(ends[-1], 2, dtype=np.int64), (u < p).astype(np.float64)
+    elif isinstance(law, ProductLaw):
+        pmf = offspring_pmf(law)
+        sizes = np.array([k for k, _ in pmf], dtype=np.int64)
+        ccdf = closed_cdf([p for _, p in pmf])
+        values, probs, noise = _step_atoms(law.step)
+        cdf = closed_cdf(probs)
+
+        def sample(ends, rngs):
+            counts = sizes[np.searchsorted(ccdf, _stream_draws("random", ends, rngs),
+                                           side="right")]
+            child_ends = np.concatenate(([0], np.cumsum(counts)))[ends].tolist()
+            return counts, _draw_atoms(cdf, values, noise, child_ends, rngs)[1]
+    else:
+        lens = np.array([len(ds) for ds, _ in law.outcomes], dtype=np.int64)
+        table = np.array([d for ds, _ in law.outcomes for d in ds])
+        offsets = np.concatenate([[0], np.cumsum(lens)[:-1]])
+        ocdf = closed_cdf([p for _, p in law.outcomes])
+
+        def sample(ends, rngs):
+            idx = np.searchsorted(ocdf, _stream_draws("random", ends, rngs), side="right")
+            counts = lens[idx]
+            pos = np.repeat(offsets[idx], counts) + _grouped_arange(counts)
+            return counts, table[pos]
+    return sample
+
+
 def sample_broods(law: OffspringLaw, count: int, rng: np.random.Generator
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``count`` independent broods.
+    """Draw ``count`` independent broods from one stream.
 
     Returns ``(counts, flat)`` where ``counts[i]`` is the number of children
     of brood i and ``flat`` concatenates the child displacements in brood
-    order.  This is the vectorized core used by the simulation engines.
+    order: the one-stream case of ``brood_sampler``.
     """
-    t = _tables(law)
-    if t["kind"] == "binary":
-        counts = np.full(count, 2, dtype=np.int64)
-        flat = (rng.random(2 * count) < t["p"]).astype(np.float64)
-        return counts, flat
-    if t["kind"] == "product":
-        counts = t["counts"][np.searchsorted(t["ccdf"], rng.random(count), side="right")]
-        return counts, _draw_atoms(*t["step"], int(counts.sum()), rng)[1]
-    idx = np.searchsorted(t["ocdf"], rng.random(count), side="right")
-    counts = t["lens"][idx]
-    pos = np.repeat(t["offsets"][idx], counts) + _grouped_arange(counts)
-    return counts, t["flat"][pos]
+    return brood_sampler(law)([count], [rng])
 
 
 __all__ = [
@@ -294,5 +322,5 @@ __all__ = [
     "OffspringLaw", "StepLaw", "ValidationReport",
     "offspring_pmf", "mean_children", "step_law",
     "intensity_atoms", "is_lattice", "mean_exp_sum",
-    "validate", "require_valid", "sample_broods",
+    "validate", "require_valid", "brood_sampler", "sample_broods",
 ]

@@ -299,7 +299,7 @@ def _corridor_prob(arr: ArraySpec, spec: CorridorSpec, n: int,
     for _, k, rng in replicate_chunks(seed, replicates, _MC_CHUNK):
         s, ok = np.zeros(k), np.ones(k, dtype=bool)
         for j in range(n):
-            s += models._draw_atoms(cdf, values, arr.noise, k, rng)[1]
+            s += models._draw_atoms(cdf, values, arr.noise, [k], [rng])[1]
             ok &= (s >= lo[j]) & (s <= hi[j])
         hits += int(ok.sum())
         if edge is not None:

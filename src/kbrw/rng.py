@@ -4,8 +4,12 @@ Every stochastic routine draws from a Philox stream whose 128-bit key is
 (seed, index), and the index counts chunks: a routine splits its
 replicates into chunks of a size fixed per routine (a module constant, not
 an option, because it decides which stream a replicate reads), and chunk c
-reads the stream (seed, c) through ``stats.replicate_chunks``.  The CLI
-gives CSV row r the seed ``derive_seed(config seed, r)``.
+reads the stream (seed, c) through ``stats.replicate_chunks``.  A chunk
+is the unit of streams; the population routines advance a group of
+chunks with shared array operations (``stats.replicate_groups``), but each
+chunk still draws only from its own stream, so neither the group size nor
+the memory budget that splits groups changes a draw.  The CLI gives CSV
+row r the seed ``derive_seed(config seed, r)``.
 
 Streams therefore do not depend on scheduling: the same (seed, index)
 yields the same draws whether work runs serially, in another order, or

@@ -6,10 +6,15 @@ to depth n estimates the finite-depth survival probability; the embedded
 two-phase construction samples the offspring count of the minorizing
 Galton-Watson tree used in the lower-bound argument.
 
-Every routine advances a chunk of CHUNK replicates at once as flat
-(owner, position) arrays; chunk c reads the Philox stream (seed, c), so
-results are bitwise reproducible regardless of scheduling.  Per-replicate
-results are reductions over the owner index.
+Particles are flat (owner, position) arrays and per-replicate results are
+reductions over the owner index.  A chunk of CHUNK replicates is the unit
+of streams: chunk c reads the Philox stream (seed, c), so results are
+bitwise reproducible regardless of scheduling.  A group of consecutive
+chunks is the unit of array operations: every routine advances a group at
+once, and only the draws stay per chunk, in the order and amounts the
+chunk would draw alone.  A group that outgrows GROUP_BUDGET particles
+splits in two by chunk; the budget is a memory setting that never changes
+a result.
 """
 
 from __future__ import annotations
@@ -23,12 +28,15 @@ from . import models
 from .analysis import CriticalProfile
 from .errors import GridExhausted
 from .models import BOUNDARY_TOL
-from .stats import replicate_chunks, wilson_interval
+from .stats import replicate_groups, wilson_interval
 from .transform import VLaw, barrier_map
 
-# replicates advanced together; fixed, because it decides which stream a
+# replicates that share one stream; fixed, because it decides which stream a
 # replicate reads
 CHUNK = 64
+# particles a group of chunks may hold at the start of a generation before it
+# splits in two; a memory setting only, since no chunk's draws depend on it
+GROUP_BUDGET = 1 << 14
 # particles one chunk may hold in the unkilled walk of estimate_M_kappa
 POPULATION_GUARD = 10_000_000
 
@@ -93,43 +101,102 @@ class GwEmbedParams:
         return (1.0 - self.alpha) * self.eps * self.L >= self.M * (self.n - self.L) - 1e-12
 
 
-def _advance(vlaw: VLaw, owner: np.ndarray, v: np.ndarray, rng: np.random.Generator
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One generation: every particle at ``v`` reproduces once.
+def _roots(seed: int, replicates: int):
+    """The groups of chunks at generation 0, one root at V = 0 per replicate.
 
-    Returns the children's owners and positions in brood order and the
-    brood sizes, by which callers repeat any other per-particle arrays.
+    A group is ``(first, k, rngs, cols)``: replicates ``first .. first + k -
+    1``, the streams of its chunks, and a list of per-particle columns
+    (owner, then position, then any a routine adds), ordered by chunk, with
+    owners counted from ``first``.  A group starts with as many chunks as
+    its roots fit in GROUP_BUDGET.
     """
-    counts, flat = models.sample_broods(vlaw.base, v.size, rng)
+    for first, k, rngs in replicate_groups(seed, replicates, CHUNK,
+                                           max(1, GROUP_BUDGET // CHUNK)):
+        yield first, k, rngs, [np.arange(k), np.zeros(k)]
+
+
+def _halves(first: int, k: int, rngs: list, cols: list) -> tuple[tuple, tuple]:
+    """A group split in two by chunk.  The second half's columns are copies,
+    so they do not keep the whole group's arrays alive while the first half
+    runs."""
+    mid = len(rngs) // 2
+    b = mid * CHUNK
+    cut = int(np.searchsorted(cols[0], b))
+    head = (first, b, rngs[:mid], [c[:cut] for c in cols])
+    tail = (first + b, k - b, rngs[mid:],
+            [cols[0][cut:] - b] + [c[cut:].copy() for c in cols[1:]])
+    return head, tail
+
+
+def _run(groups, gens: int, step):
+    """Advance each group ``gens`` generations and yield it, in chunk order.
+
+    ``step(gen, first, k, rngs, cols)`` returns a group's columns after
+    generation ``gen``.  It empties ``cols`` as it takes them, so each old
+    array is freed as soon as the step replaces it.  A group of several
+    chunks that holds more than GROUP_BUDGET particles at the start of a
+    generation splits in two by chunk, and each half carries on from that
+    generation.
+    """
+    for group in groups:
+        todo = [(0, group)]
+        while todo:
+            done, (first, k, rngs, cols) = todo.pop()
+            while done < gens:
+                if cols[0].size > GROUP_BUDGET and len(rngs) > 1:
+                    (first, k, rngs, cols), tail = _halves(first, k, rngs, cols)
+                    todo.append((done, tail))
+                    continue
+                done += 1
+                cols = step(done, first, k, rngs, cols)
+            yield first, k, rngs, cols
+
+
+def _advance(sample, vlaw: VLaw, rngs: list, owner: np.ndarray, v: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One generation of a group: every particle at ``v`` reproduces once.
+
+    Chunk i's particles draw their broods from ``rngs[i]``.  Returns the
+    children's owners and positions in brood order and the brood sizes, by
+    which callers repeat any other per-particle arrays.
+    """
+    ends = np.searchsorted(owner, np.arange(CHUNK, CHUNK * len(rngs) + 1, CHUNK))
+    counts, flat = sample(ends.tolist(), rngs)
     return (np.repeat(owner, counts), np.repeat(v, counts) + vlaw.v_increment(flat),
             counts)
 
 
-def _killed(vlaw: VLaw, v_slope: float, n: int, escape_cap: float, k: int,
-            rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Advance k roots under the kill line until depth n or extinction.
+def _killed(vlaw: VLaw, v_slope: float, n: int, escape_cap: float, seed: int,
+            replicates: int, peak: np.ndarray):
+    """Advance the replicates' roots under the kill line until depth n.
 
-    Returns the (owner, position) arrays of the last live population and
-    each replicate's peak population.  A replicate whose population reaches
-    escape_cap stops drawing and drops its particles; its peak records it.
+    Yields each group with the (owner, position) columns of its last live
+    population, and fills ``peak`` with each replicate's peak population.  A
+    replicate whose population reaches escape_cap stops drawing and drops
+    its particles; its peak records it.
     """
-    owner, v = np.arange(k), np.zeros(k)
-    pop = np.ones(k, dtype=np.int64)
-    peak = pop.copy()
-    for gen in range(1, n + 1):
-        capped = pop >= escape_cap
+    sample = models.brood_sampler(vlaw.base)
+    pop = np.ones(replicates, dtype=np.int64)
+    peak[:] = 1
+
+    def step(gen, first, k, rngs, cols):
+        owner, v = cols
+        cols.clear()
+        here = pop[first:first + k]
+        capped = here >= escape_cap
         if capped.any():
             live = ~capped[owner]
             owner, v = owner[live], v[live]
-        if v.size == 0:
-            break
-        owner, v, _ = _advance(vlaw, owner, v, rng)
-        keep = v <= v_slope * gen + BOUNDARY_TOL
-        # compress, not v[keep]: about 3x faster on populations of 10^5 and up
-        owner, v = owner.compress(keep), v.compress(keep)
-        pop = np.bincount(owner, minlength=k)
-        np.maximum(peak, pop, out=peak)
-    return owner, v, peak
+        if v.size:
+            owner, v, _ = _advance(sample, vlaw, rngs, owner, v)
+            keep = v <= v_slope * gen + BOUNDARY_TOL
+            # compress, not v[keep]: about 3x faster on populations of 10^5 and up
+            owner, v = owner.compress(keep), v.compress(keep)
+            here[:] = np.bincount(owner, minlength=k)
+            np.maximum(peak[first:first + k], here, out=peak[first:first + k])
+        return [owner, v]
+
+    return _run(_roots(seed, replicates), n, step)
 
 
 def estimate_rho(vlaw: VLaw, barrier: BarrierSpec | float, n: int, replicates: int,
@@ -165,9 +232,8 @@ def escape_cap_sweep(vlaw: VLaw, barrier: BarrierSpec | float, n: int,
         raise ValueError("need at least 100 replicates")
     b = barrier.v_slope(vlaw.profile) if isinstance(barrier, BarrierSpec) else float(barrier)
     alive = np.zeros(replicates, dtype=bool)
-    peak = np.zeros(replicates, dtype=np.int64)
-    for first, k, rng in replicate_chunks(seed, replicates, CHUNK):
-        owner, _, peak[first:first + k] = _killed(vlaw, b, n, max(caps), k, rng)
+    peak = np.empty(replicates, dtype=np.int64)
+    for first, _, _, (owner, _) in _killed(vlaw, b, n, max(caps), seed, replicates, peak):
         alive[first + owner] = True
     out = []
     for cap in caps:
@@ -193,19 +259,27 @@ def estimate_M_kappa(vlaw: VLaw, j_max: int = 10, replicates: int = 800,
     """
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
+    sample = models.brood_sampler(vlaw.base)
     prefix_max = np.zeros((replicates, j_max))
     alive = np.zeros((replicates, j_max), dtype=bool)
-    for first, k, rng in replicate_chunks(seed, replicates, CHUNK):
-        owner, v = np.arange(k), np.zeros(k)
-        running = np.zeros(k)
-        for j in range(j_max):
-            if v.size:
-                owner, v, _ = _advance(vlaw, owner, v, rng)
-                if v.size > POPULATION_GUARD:
-                    raise GridExhausted("unkilled population exceeded the guard; lower j_max")
-                np.maximum.at(running, owner, v)
-            prefix_max[first:first + k, j] = running
-            alive[first + owner, j] = True
+    running = np.zeros(replicates)
+
+    def step(j, first, k, rngs, cols):
+        owner, v = cols
+        cols.clear()
+        top = running[first:first + k]
+        if v.size:
+            owner, v, _ = _advance(sample, vlaw, rngs, owner, v)
+            # the guard holds per chunk, whatever the group
+            if v.size > POPULATION_GUARD and np.bincount(owner // CHUNK).max() > POPULATION_GUARD:
+                raise GridExhausted("unkilled population exceeded the guard; lower j_max")
+            np.maximum.at(top, owner, v)
+        prefix_max[first:first + k, j - 1] = top
+        alive[first + owner, j - 1] = True
+        return [owner, v]
+
+    for _ in _run(_roots(seed, replicates), j_max, step):
+        pass
     if grid is None:
         # the largest increment, 6 standard deviations of the normal part past its atom
         values, _, noise = models.intensity_atoms(vlaw.base)
@@ -237,23 +311,33 @@ def simulate_G(vlaw: VLaw, params: GwEmbedParams, replicates: int, seed: int = 0
         raise ValueError("(1-alpha)*eps*L >= M*(n-L) fails for these parameters")
     phase1_slope = params.alpha * params.eps
     limit = (1.0 - params.alpha) * params.eps * params.L
-    out = np.zeros(replicates, dtype=np.int64)
-    for first, k, rng in replicate_chunks(seed, replicates, CHUNK):
-        owner, _, _ = _killed(vlaw, phase1_slope, params.L, math.inf, k, rng)
+    sample = models.brood_sampler(vlaw.base)
+
+    def step(gen, first, k, rngs, cols):
+        owner, lineage, delta = cols
+        cols.clear()
         # phase 2: each level-L survivor heads a lineage whose every vertex
         # must stay within `limit` above it; a disqualified lineage drops out
         # with its subtree
-        lineage = np.arange(owner.size)
-        delta = np.zeros(owner.size)
-        qualified = np.ones(owner.size, dtype=bool)
-        for _ in range(params.n - params.L):
-            if lineage.size == 0:
-                break
-            lineage, delta, _ = _advance(vlaw, lineage, delta, rng)
-            qualified[lineage[delta > limit + BOUNDARY_TOL]] = False
-            keep = qualified[lineage]
-            lineage, delta = lineage[keep], delta[keep]
-        out[first:first + k] = np.bincount(owner[lineage], minlength=k)
+        if owner.size:
+            owner, delta, counts = _advance(sample, vlaw, rngs, owner, delta)
+            lineage = np.repeat(lineage, counts)
+            out_of_bounds = lineage[delta > limit + BOUNDARY_TOL]
+            if out_of_bounds.size:
+                disqualified = np.zeros(int(lineage[-1]) + 1, dtype=bool)
+                disqualified[out_of_bounds] = True
+                keep = ~disqualified[lineage]
+                owner, lineage, delta = owner[keep], lineage[keep], delta[keep]
+        return [owner, lineage, delta]
+
+    # phase 2 reads each chunk's stream where phase 1 left it
+    phase1 = _killed(vlaw, phase1_slope, params.L, math.inf, seed, replicates,
+                     np.empty(replicates, dtype=np.int64))
+    heads = ((first, k, rngs, [owner, np.arange(owner.size), np.zeros(owner.size)])
+             for first, k, rngs, (owner, _) in phase1)
+    out = np.zeros(replicates, dtype=np.int64)
+    for first, k, _, (owner, _, _) in _run(heads, params.n - params.L, step):
+        out[first:first + k] = np.bincount(owner, minlength=k)
     return out
 
 

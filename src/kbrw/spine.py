@@ -26,8 +26,8 @@ import numpy as np
 from . import models
 from .errors import CertificationError
 from .models import DiscreteFinite, ExplicitFinite, Gaussian, OffspringLaw, ProductLaw
-from .simulate import CHUNK, _advance
-from .stats import chunked_mean, closed_cdf
+from .simulate import CHUNK, _advance, _roots, _run
+from .stats import chunked_mean, closed_cdf, mean_stderr
 from .transform import VLaw
 
 MEAN_TOL = 1e-12
@@ -96,7 +96,7 @@ def make_spine(vlaw: VLaw) -> SpineLaw:
 def sample_spine_step(sp: SpineLaw, k: int, rng: np.random.Generator
                       ) -> tuple[np.ndarray, np.ndarray]:
     """One level of k i.i.d. spine paths: increments S_i - S_{i-1} and counts nu_{i-1}."""
-    idx, inc = models._draw_atoms(sp.cdf, sp.s_values, sp.noise, k, rng)
+    idx, inc = models._draw_atoms(sp.cdf, sp.s_values, sp.noise, [k], [rng])
     return inc, sp.nu_values[idx]
 
 
@@ -206,14 +206,22 @@ def expected_leaf_sum_exact(vlaw: VLaw, n: int, func: PathFunctional) -> float:
 def tree_many_to_one_lhs(vlaw: VLaw, n: int, func: PathFunctional,
                          replicates: int, seed: int = 0) -> tuple[float, float]:
     """MC estimate of E[sum_{|x|=n} e^{-V(x)} F(path)] by direct tree simulation."""
-    def draw(rng, k):
-        owner, v, ok = np.arange(k), np.zeros(k), np.ones(k, dtype=bool)
-        for i in range(1, n + 1):
-            owner, v, counts = _advance(vlaw, owner, v, rng)
-            ok = func.admit(np.repeat(ok, counts), i, v, np.repeat(counts, counts))
-        return np.bincount(owner, weights=np.exp(-v) * func.weight(ok, v), minlength=k)
+    sample = models.brood_sampler(vlaw.base)
 
-    return chunked_mean(seed, replicates, CHUNK, draw)
+    def step(i, first, k, rngs, cols):
+        owner, v, ok = cols
+        cols.clear()
+        owner, v, counts = _advance(sample, vlaw, rngs, owner, v)
+        return [owner, v, func.admit(np.repeat(ok, counts), i, v, np.repeat(counts, counts))]
+
+    roots = ((first, k, rngs, cols + [np.ones(k, dtype=bool)])
+             for first, k, rngs, cols in _roots(seed, replicates))
+    w = np.empty(replicates)
+    for first, k, _, (owner, v, ok) in _run(roots, n, step):
+        w[first:first + k] = np.bincount(owner, weights=np.exp(-v) * func.weight(ok, v),
+                                         minlength=k)
+    # summed chunk by chunk, as chunked_mean sums its draws
+    return mean_stderr((w[i:i + CHUNK] for i in range(0, replicates, CHUNK)), replicates)
 
 
 def spine_many_to_one_rhs(sp: SpineLaw, n: int, func: PathFunctional,

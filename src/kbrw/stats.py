@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 import numpy as np
 
@@ -29,12 +30,6 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return min(max(0.0, center - half), p), max(min(1.0, center + half), p)
 
 
-def proportion_stderr(p_hat: float, trials: int) -> float:
-    if trials <= 0:
-        return math.inf
-    return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
-
-
 def replicate_chunks(seed: int, replicates: int, chunk: int):
     """Yield ``(first, k, rng)`` for consecutive chunks of ``replicates``.
 
@@ -44,6 +39,19 @@ def replicate_chunks(seed: int, replicates: int, chunk: int):
     """
     for c, first in enumerate(range(0, replicates, chunk)):
         yield first, min(chunk, replicates - first), replicate_stream(seed, c)
+
+
+def replicate_groups(seed: int, replicates: int, chunk: int, group: int):
+    """Yield ``(first, k, rngs)`` for consecutive groups of up to ``group`` chunks.
+
+    The chunks and their streams are those of ``replicate_chunks``: a group
+    covers replicates ``first .. first + k - 1`` and ``rngs[i]`` is the
+    stream of its chunk i.  The group size decides only which chunks share
+    array operations, never which stream a replicate reads.
+    """
+    chunks = replicate_chunks(seed, replicates, chunk)
+    while batch := list(islice(chunks, group)):
+        yield batch[0][0], sum(k for _, k, _ in batch), [rng for _, _, rng in batch]
 
 
 def closed_cdf(probs) -> np.ndarray:
@@ -58,30 +66,28 @@ def closed_cdf(probs) -> np.ndarray:
     return cdf
 
 
+def mean_stderr(parts, n: int) -> tuple[float, float]:
+    """Mean and standard error of ``n`` values given as consecutive 1-D float
+    arrays; only a running sum and sum of squares are kept, added part by
+    part in order."""
+    total = total_sq = 0.0
+    for w in parts:
+        total += float(w.sum())
+        total_sq += float(np.dot(w, w))
+    mean = total / n
+    var = max(total_sq / n - mean * mean, 0.0) * n / max(n - 1, 1)
+    return mean, math.sqrt(var / n)
+
+
 def chunked_mean(seed: int, replicates: int, chunk: int, draw) -> tuple[float, float]:
     """Mean and standard error of ``replicates`` values sampled chunk by chunk.
 
     ``draw(rng, k)`` returns the values of the next k replicates as a 1-D
     float array; chunks and streams are those of ``replicate_chunks``.
-    Only a running sum and sum of squares are kept.
     """
-    total = total_sq = 0.0
-    for _, k, rng in replicate_chunks(seed, replicates, chunk):
-        w = draw(rng, k)
-        total += float(w.sum())
-        total_sq += float(np.dot(w, w))
-    mean = total / replicates
-    var = max(total_sq / replicates - mean * mean, 0.0) * replicates / max(replicates - 1, 1)
-    return mean, math.sqrt(var / replicates)
+    return mean_stderr((draw(rng, k) for _, k, rng in replicate_chunks(seed, replicates, chunk)),
+                       replicates)
 
 
-def regression_slope(x, y) -> float:
-    """Least-squares slope of y on x."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    xc = x - x.mean()
-    return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
-
-
-__all__ = ["Z95", "wilson_interval", "proportion_stderr", "replicate_chunks",
-           "closed_cdf", "chunked_mean", "regression_slope"]
+__all__ = ["Z95", "wilson_interval", "replicate_chunks", "replicate_groups",
+           "closed_cdf", "mean_stderr", "chunked_mean"]

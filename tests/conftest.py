@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,21 @@ from kbrw.spine import make_spine
 from kbrw.transform import make_vlaw
 
 P0 = 0.0669872981077807  # root of 16 p (1 - p) = 1 in (0, 1/2)
+
+
+def proportion_stderr(p_hat: float, trials: int) -> float:
+    """Standard error of a binomial proportion, for the Monte Carlo gates."""
+    if trials <= 0:
+        return math.inf
+    return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
+
+
+def regression_slope(x, y) -> float:
+    """Least-squares slope of y on x."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    xc = x - x.mean()
+    return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
 
 
 @pytest.fixture(scope="session")

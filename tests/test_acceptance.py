@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from conftest import proportion_stderr, regression_slope
 from kbrw.analysis import beta_bs_from_gamma_derivative, solve_tstar
 from kbrw.cli import main
 from kbrw.models import (BinaryBernoulli, DiscreteFinite, ExplicitFinite,
@@ -20,7 +21,6 @@ from kbrw.mogulskii import (ArraySpec, CorridorSpec, brownian_corridor_mc,
 from kbrw.oracle import LatticeLaw, exact_path_survival, rho_limit
 from kbrw.simulate import GwEmbedParams, estimate_M_kappa, estimate_rho, simulate_G
 from kbrw.spine import functional, make_spine, many_to_one_check
-from kbrw.stats import proportion_stderr, regression_slope
 from kbrw.transform import make_vlaw
 
 P0 = 0.0669872981077807

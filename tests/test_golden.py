@@ -84,6 +84,16 @@ def test_analyze_csv_bytes(tmp_path):
         "5ed76d7eeb7b51015e3a927503fd7fafb9130ecee63516c81c73c4bc0eb9c943"
 
 
+def test_shipped_survival_csv_bytes(tmp_path):
+    # the shipped survival config: nine Monte Carlo rows of 1,563 chunks at
+    # cap 10^4, so each row's draws cross several group boundaries
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "survival_binary.json"
+    out = tmp_path / "survival.csv"
+    assert main(["survival", "--config", str(cfg), "--out", str(out), "--threads", "1"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "edc4a1cab1c27f9ab25d04060ca3ec06dda0647f1a48913b615370a0fb9aafac"
+
+
 def test_lattice_corridor_rows():
     # a sloped strip for the lazy walk and a five-knot corridor for the skew
     # lattice {-1, 0, 2}, both with an endpoint window

@@ -360,7 +360,7 @@ def test_dp_negative_steps(law_p03):
     # and against the Monte Carlo engine
     import math as _m
     from kbrw.simulate import estimate_rho
-    from kbrw.stats import proportion_stderr
+    from conftest import proportion_stderr
     from kbrw.transform import make_vlaw
     vlaw = make_vlaw(law, prof)
     exact = exact_path_survival(ll, 8, v_slope=0.15, profile=prof)

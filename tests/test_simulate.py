@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from kbrw import simulate, spine
+from conftest import proportion_stderr
+from kbrw import simulate, spine, stats
 from kbrw.analysis import solve_tstar
 from kbrw.errors import GridExhausted
-from kbrw.models import Gaussian, ProductLaw
+from kbrw.models import ExplicitFinite, Gaussian, ProductLaw
 from kbrw.oracle import LatticeLaw, exact_path_survival
 from kbrw.rng import replicate_stream
 from kbrw.simulate import (BarrierSpec, GwEmbedParams, escape_cap_sweep,
                            estimate_M_kappa, estimate_rho, simulate_G)
 from kbrw.spine import functional, tree_many_to_one_lhs
-from kbrw.stats import proportion_stderr
 from kbrw.transform import make_vlaw
 
 
@@ -103,16 +103,19 @@ _FIRST_CHUNK_RUNS = {
 
 @pytest.mark.parametrize("routine", sorted(_FIRST_CHUNK_RUNS))
 def test_first_chunk_independent_of_replicates(monkeypatch, vlaw_p03, routine):
-    # every population step goes through _advance; the steps of the first
-    # chunk must not depend on how many chunks follow it
+    # every population step goes through _advance; the first chunk's part of
+    # each step must not depend on how many chunks follow it in its group
     chunk = 100   # estimate_rho needs at least 100 replicates
     monkeypatch.setattr(simulate, "CHUNK", chunk)
     monkeypatch.setattr(spine, "CHUNK", chunk)
-    advance, steps = simulate._advance, []
+    monkeypatch.setattr(simulate, "GROUP_BUDGET", 10 ** 9)   # one group per run
+    advance, steps, shared = simulate._advance, [], []
 
-    def recording(*args):
-        out = advance(*args)
-        steps.append(out)
+    def recording(sample, vlaw, rngs, owner, v):
+        out = advance(sample, vlaw, rngs, owner, v)
+        parents, children = np.searchsorted(owner, chunk), np.searchsorted(out[0], chunk)
+        steps.append((out[0][:children], out[1][:children], out[2][:parents]))
+        shared.append(parents < owner.size)
         return out
 
     monkeypatch.setattr(simulate, "_advance", recording)
@@ -120,13 +123,64 @@ def test_first_chunk_independent_of_replicates(monkeypatch, vlaw_p03, routine):
     runs = []
     for reps in (chunk, 3 * chunk):
         steps.clear()
+        shared.clear()
         runs.append((_FIRST_CHUNK_RUNS[routine](vlaw_p03, reps), list(steps)))
     (one, one_steps), (three, three_steps) = runs
-    assert 0 < len(one_steps) < len(three_steps)
+    assert 0 < len(one_steps) <= len(three_steps)
+    assert any(shared)   # the first chunk shared steps with the others
     for a, b in zip(one_steps, three_steps):
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    # steps the first chunk no longer takes part in hold none of its particles
+    assert all(x.size == 0 for step in three_steps[len(one_steps):] for x in step)
     if routine == "simulate_G":
         assert np.array_equal(one, three[:chunk])
+
+
+# atomic broods with an empty one
+_EXPLICIT_EMPTY = ExplicitFinite((((), 0.25), ((0.0, 1.0), 0.45), ((-1.0, 1.0, 2.0), 0.3)))
+
+
+def _population_outputs(vlaw):
+    peak = np.empty(700, dtype=np.int64)
+    last = [(first + owner, v) for first, _, _, (owner, v)
+            in simulate._killed(vlaw, 1.0, 12, 50, 3, 700, peak)]
+    return {
+        "killed": (peak, *map(np.concatenate, zip(*last))),
+        "sweep": escape_cap_sweep(vlaw, 1.0, 12, 700, (2, 50, math.inf), seed=3),
+        "M_kappa": estimate_M_kappa(vlaw, j_max=7, replicates=900, seed=4),
+        "G": simulate_G(vlaw, GwEmbedParams(n=9, eps=3.0, alpha=0.5, L=6, M=0.2), 1000,
+                        seed=6, strict=False),
+        "tree": tree_many_to_one_lhs(vlaw, 6, functional("below_line", slope=0.5), 1500,
+                                     seed=7),
+    }
+
+
+@pytest.mark.parametrize("law", ["binary", "mixed", "gaussian", "explicit_empty"])
+def test_group_layout_leaves_results_unchanged(monkeypatch, request, law):
+    # a group decides only which chunks share array operations: groups of 1,
+    # 7 and 256 chunks, and groups that split mid-run under a small budget,
+    # must give the same arrays as the default layout
+    base = {"binary": request.getfixturevalue("law_p03"),
+            "mixed": request.getfixturevalue("law_mixed_offspring"),
+            "gaussian": request.getfixturevalue("law_gaussian"),
+            "explicit_empty": _EXPLICIT_EMPTY}[law]
+    vlaw = make_vlaw(base, solve_tstar(base))
+    reference = _population_outputs(vlaw)
+    assert reference["sweep"][1].cap_hits > 0   # cap 50 stops some replicates
+    halves, splits = simulate._halves, []
+    monkeypatch.setattr(simulate, "_halves", lambda *a: splits.append(1) or halves(*a))
+    for group, budget in ((1, 10 ** 9), (7, 10 ** 9), (256, 10 ** 9), (7, 7 * simulate.CHUNK)):
+        monkeypatch.setattr(simulate, "GROUP_BUDGET", budget)
+        monkeypatch.setattr(simulate, "replicate_groups",
+                            lambda seed, reps, chunk, _, g=group:
+                            stats.replicate_groups(seed, reps, chunk, g))
+        got, expected = _population_outputs(vlaw), dict(reference)
+        assert all(np.array_equal(a, b) for a, b in zip(expected.pop("killed"), got.pop("killed")))
+        assert np.array_equal(expected.pop("G"), got.pop("G"))
+        assert got == expected, (group, budget)
+        # 7 chunks start at the budget, so every split comes mid-run
+        assert (len(splits) > 0) == (budget < 10 ** 9)
+        splits.clear()
 
 
 def test_population_guard(monkeypatch, vlaw_p03):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kbrw.stats import proportion_stderr, regression_slope, wilson_interval
+from conftest import proportion_stderr, regression_slope
+from kbrw.stats import wilson_interval
 
 
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=10_000))
