@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .errors import DomainTooNarrow, NoCriticalPoint
+from .errors import DomainTooNarrow, LawValidationError, NoCriticalPoint
 from .models import OffspringLaw
 
 H_TOL = 1e-12          # residual bound on t*psi'(t*) - psi(t*)
@@ -110,7 +110,9 @@ def _solve_h_root(ev: CgfEvaluator) -> float:
 
 def solve_tstar(law: OffspringLaw) -> CriticalProfile:
     """Solve the critical equation and assemble the full constant profile."""
-    models.require_valid(law)
+    report = models.validate(law)
+    if not report.ok:
+        raise LawValidationError("; ".join(report.violations))
     _percolation_check(law)
     ev = CgfEvaluator(law)
     t = _solve_h_root(ev)

@@ -246,14 +246,6 @@ def law_from_config(obj: dict) -> OffspringLaw:
     return ExplicitFinite(tuple((tuple(ds), p) for ds, p in obj["outcomes"]))
 
 
-def _certified_vlaw(law: OffspringLaw) -> transform.VLaw:
-    """Validate the law, solve its critical profile and certify the centering.
-
-    Failures raise; ``main`` maps them to exit codes.
-    """
-    return transform.make_vlaw(law, solve_tstar(law))
-
-
 def _boundary_from_config(obj: dict):
     if obj["type"] == "affine":
         a, b = obj["intercept"], obj.get("slope", 0.0)
@@ -311,7 +303,7 @@ def _run_rows(tasks, worker, threads: int | None):
 
 def cmd_analyze(config: dict, out_path: str | None) -> int:
     law = law_from_config(config["law"])
-    vlaw = _certified_vlaw(law)
+    vlaw = transform.make_vlaw(law, solve_tstar(law))
     profile = vlaw.profile
     rows = [
         ("mean_children", models.mean_children(law)),
@@ -372,7 +364,7 @@ def _survival_row(vlaw: transform.VLaw, config: dict, task: tuple) -> list:
 
 def cmd_survival(config: dict, threads: int | None):
     law = law_from_config(config["law"])
-    vlaw = _certified_vlaw(law)
+    vlaw = transform.make_vlaw(law, solve_tstar(law))
     methods = ["mc"]
     if models.is_lattice(law):
         methods.append("oracle")
@@ -437,7 +429,8 @@ def cmd_mogulskii(config: dict):
     else:
         if "law" not in config:
             raise ValueError("spine family needs a 'law' entry in the config")
-        vlaw = _certified_vlaw(law_from_config(config["law"]))
+        law = law_from_config(config["law"])
+        vlaw = transform.make_vlaw(law, solve_tstar(law))
         arr = mogulskii.ArraySpec.from_spine(spine.make_spine(vlaw),
                                              condition_nu=fam.get("condition_nu", True))
     endpoint_b = config.get("endpoint_b") or None   # false and missing alike

@@ -11,6 +11,10 @@ supported models:
 * ``ExplicitFinite(outcomes)`` -- the whole brood drawn atomically from a
   finite list of displacement tuples.
 
+``child_atoms`` is the one per-child table of a law: each child's
+displacement atom with its brood size and expected count, which the spine
+tilts and the exact enumeration walks.
+
 Probability vectors are accepted with up to 1e-12 of decimal round-off and
 renormalized exactly at construction.  Laws are immutable and hashable, so
 derived sampling tables are cached per law.
@@ -181,6 +185,28 @@ def intensity_atoms(law: OffspringLaw) -> tuple[np.ndarray, np.ndarray, float]:
     return values, weights, noise
 
 
+def child_atoms(law: OffspringLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Per-child intensity (values, counts, weights, noise): atom, brood size, weight.
+
+    ``weights[i]`` is the expected number of children whose atom is
+    ``values[i]`` and whose brood has ``counts[i]`` children; weights sum to
+    the mean child count.  Explicit laws give one atom per child of each
+    outcome; product laws list the step atoms u-major, then the child counts
+    k > 0, with weight k p_k q_u.  A Gaussian step N(mu, sd) is the one atom
+    mu with noise sd.  Zero-weight atoms are dropped.
+    """
+    noise = 0.0
+    if isinstance(law, ExplicitFinite):
+        atoms = [(d, len(ds), p) for ds, p in law.outcomes for d in ds]
+    else:
+        values, probs, noise = _step_atoms(step_law(law))
+        atoms = [(u, k, k * pk * qu) for u, qu in zip(values.tolist(), probs.tolist())
+                 for k, pk in offspring_pmf(law) if k > 0]
+    u, nu, w = (np.array(c) for c in zip(*atoms))
+    keep = w > 0
+    return u[keep], nu[keep].astype(np.int64), w[keep], noise
+
+
 def is_lattice(law: OffspringLaw) -> bool:
     """True when all displacements are integers (within 1e-9)."""
     values, _, noise = intensity_atoms(law)
@@ -218,12 +244,6 @@ def validate(law: OffspringLaw) -> ValidationReport:
     if noise == 0.0 and len(values) < 2:
         violations.append("strict-convexity: all displacements equal, cumulant function is affine")
     return ValidationReport(ok=not violations, violations=tuple(violations))
-
-
-def require_valid(law: OffspringLaw) -> None:
-    report = validate(law)
-    if not report.ok:
-        raise LawValidationError("; ".join(report.violations))
 
 
 # ---------------------------------------------------------------------------
@@ -306,21 +326,10 @@ def brood_sampler(law: OffspringLaw):
     return sample
 
 
-def sample_broods(law: OffspringLaw, count: int, rng: np.random.Generator
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``count`` independent broods from one stream.
-
-    Returns ``(counts, flat)`` where ``counts[i]`` is the number of children
-    of brood i and ``flat`` concatenates the child displacements in brood
-    order: the one-stream case of ``brood_sampler``.
-    """
-    return brood_sampler(law)([count], [rng])
-
-
 __all__ = [
     "BinaryBernoulli", "ProductLaw", "ExplicitFinite", "DiscreteFinite", "Gaussian",
     "OffspringLaw", "StepLaw", "ValidationReport",
     "offspring_pmf", "mean_children", "step_law",
-    "intensity_atoms", "is_lattice", "mean_exp_sum",
-    "validate", "require_valid", "brood_sampler", "sample_broods",
+    "intensity_atoms", "child_atoms", "is_lattice", "mean_exp_sum",
+    "validate", "brood_sampler",
 ]

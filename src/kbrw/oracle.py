@@ -27,12 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from . import models
 from .analysis import CriticalProfile
 from .errors import GridExhausted, LatticeError
-from .models import BOUNDARY_TOL, DiscreteFinite, ExplicitFinite, OffspringLaw
+from .models import BOUNDARY_TOL, OffspringLaw
 
 
 @dataclass(frozen=True)
@@ -57,12 +56,11 @@ class LatticeLaw:
         coeffs = [0.0] * (max(k for k, _ in pmf) + 1)
         for k, p in pmf:
             coeffs[k] += p
-        if isinstance(law, ExplicitFinite):
+        step = models.step_law(law)
+        if step is None:
             outs = tuple((tuple(int(round(d)) for d in ds), p) for ds, p in law.outcomes)
             values = tuple(sorted({d for ds, _ in outs for d in ds}))
             return cls(tuple(coeffs), values, None, outs)
-        step = models.step_law(law)
-        assert isinstance(step, DiscreteFinite)
         values = tuple(int(round(v)) for v in step.values)
         return cls(tuple(coeffs), values, tuple(step.probs), None)
 
@@ -318,16 +316,4 @@ def rho_limit(ll: LatticeLaw, profile: CriticalProfile, v_slope: float,
     raise GridExhausted(f"survival did not stabilize below n = {n_max}")
 
 
-def gw_survival_to_n(ll: LatticeLaw, n: int) -> float:
-    """P{generation n is non-empty} with no barrier, by pgf iteration."""
-    coeffs = np.asarray(ll.pgf_coeffs)
-    q = 0.0
-    for _ in range(n):
-        q = float(npoly.polyval(q, coeffs))
-    return 1.0 - q
-
-
-__all__ = [
-    "LatticeLaw", "exact_path_survival", "exact_corridor_walk",
-    "rho_limit", "gw_survival_to_n",
-]
+__all__ = ["LatticeLaw", "exact_path_survival", "exact_corridor_walk", "rho_limit"]

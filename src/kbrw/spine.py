@@ -25,7 +25,7 @@ import numpy as np
 
 from . import models
 from .errors import CertificationError
-from .models import DiscreteFinite, ExplicitFinite, Gaussian, OffspringLaw, ProductLaw
+from .models import OffspringLaw
 from .simulate import CHUNK, _advance, _roots, _run
 from .stats import chunked_mean, closed_cdf, mean_stderr
 from .transform import VLaw
@@ -41,11 +41,12 @@ _ENUM_BUDGET = 1 << 21   # paths expected_leaf_sum_exact may enumerate
 class SpineLaw:
     """Joint law of one spine step: (increment S_1, parent child count nu_0).
 
-    An atom table (s, nu, prob) plus an independent N(0, noise^2) part of s.
-    Finite families reweight each atom of ``_joint_child_atoms`` by exp(-s)
-    and have noise 0; a Gaussian step N(mu, sd) puts the tilted mean at each
-    child count, with noise t* sd.  Product families make s and nu
-    independent (the tilt factorizes); explicit families make them joint.
+    An atom table (s, nu, prob) plus an independent N(0, noise^2) part of s:
+    the exp(-V) tilt of the law's ``models.child_atoms``, one row per child
+    atom.  Finite steps have noise 0; a Gaussian step N(mu, sd) puts its
+    tilted mean at each child count, with noise t* sd.  Product families
+    make s and nu independent (the tilt factorizes); explicit families make
+    them joint.
     """
 
     vlaw: VLaw
@@ -61,36 +62,27 @@ class SpineLaw:
         return closed_cdf(self.probs)
 
 
-def _size_biased_pmf(law: OffspringLaw) -> tuple[np.ndarray, np.ndarray]:
-    pmf = models.offspring_pmf(law)
-    m = models.mean_children(law)
-    ks = np.array([k for k, _ in pmf], dtype=np.int64)
-    ps = np.array([k * p / m for k, p in pmf])
-    keep = ps > 0
-    return ks[keep], ps[keep] / ps[keep].sum()
-
-
 def make_spine(vlaw: VLaw) -> SpineLaw:
     """The tilted step as an atom table plus a normal part, certified against
-    the profile: its mean must be 0 and its second moment sigma^2."""
-    base = vlaw.base
-    if isinstance(base, ProductLaw) and isinstance(base.step, Gaussian):
-        # under the tilt a displacement is N(mu + sd^2 t*, sd^2), independent of nu
-        t, mu, sd = vlaw.t_star, base.step.mean, base.step.stddev
-        nu, probs = _size_biased_pmf(base)
-        s, noise = np.full(nu.size, -t * (mu + sd * sd * t) + vlaw.psi_tstar), t * sd
-    else:
-        s, nu, w = _joint_child_atoms(vlaw)
-        probs, noise = w * np.exp(-s), 0.0
-        probs /= probs.sum()   # total is E[sum e^{-V}] = 1 up to certification residual
+    the profile: its mean must be 0 and its second moment sigma^2.
+
+    A child at atom u with a N(0, noise^2) part has V = v(u) - t* noise Z.
+    Under the exp(-V) tilt Z gains mean t* noise, so the atom moves to
+    s = v(u + noise^2 t*), its weight w becomes w exp(-s - (t* noise)^2/2)
+    and the normal part of s is t* noise, for finite and Gaussian steps alike.
+    """
+    u, nu, w, noise = models.child_atoms(vlaw.base)
+    s, tau = vlaw.v_increment(u + noise * noise * vlaw.t_star), vlaw.t_star * noise
+    probs = w * np.exp(-s - 0.5 * tau * tau)
+    probs /= probs.sum()   # total is E[sum e^{-V}] = 1 up to certification residual
     s_mean = float(np.dot(probs, s))
-    s_var = float(np.dot(probs, s * s)) + noise * noise  # second moment
+    s_var = float(np.dot(probs, s * s)) + tau * tau  # second moment
     if abs(s_mean) > MEAN_TOL:
         raise CertificationError(f"spine step mean {s_mean:.3e} is not 0")
     if abs(s_var - vlaw.profile.sigma2) > VAR_TOL:
         raise CertificationError(
             f"spine step second moment {s_var!r} != sigma^2 {vlaw.profile.sigma2!r}")
-    return SpineLaw(vlaw, s, nu, probs, noise, s_mean, s_var)
+    return SpineLaw(vlaw, s, nu, probs, tau, s_mean, s_var)
 
 
 def sample_spine_step(sp: SpineLaw, k: int, rng: np.random.Generator
@@ -148,40 +140,8 @@ def functional(name: str, **params) -> PathFunctional:
     raise ValueError(f"unknown functional id {name!r}")
 
 
-def default_library(profile_sigma: float = 1.0) -> tuple[PathFunctional, ...]:
-    """The fixed functionals exercised by the identity checks."""
-    return (
-        functional("one"),
-        functional("below_line", slope=0.5),
-        functional("band", half_width=2.0 * profile_sigma),
-        functional("exp_capped", u=1.0, cap=2.0),
-        functional("below_line_maxnu", slope=0.5, r=2),
-    )
-
-
 # ---------------------------------------------------------------------------
 # the two Monte Carlo routes and the exact route
-
-def _joint_child_atoms(vlaw: VLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-child intensity atoms (v, nu, weight); weights sum to E[Z].
-
-    Explicit laws give one atom per child of each outcome; product laws list
-    the step atoms u-major, then the child counts k > 0.  Zero-weight atoms
-    are dropped.
-    """
-    base = vlaw.base
-    if isinstance(base, ExplicitFinite):
-        atoms = [(d, len(ds), p) for ds, p in base.outcomes for d in ds]
-    else:
-        step = models.step_law(base)
-        if not isinstance(step, DiscreteFinite):
-            raise ValueError("exact enumeration needs finite displacement support")
-        atoms = [(u, k, k * pk * qu) for u, qu in step.atoms
-                 for k, pk in models.offspring_pmf(base) if k > 0]
-    u, nu, w = (np.array(c) for c in zip(*atoms))
-    keep = w > 0
-    return vlaw.v_increment(u[keep]), nu[keep].astype(np.int64), w[keep]
-
 
 def expected_leaf_sum_exact(vlaw: VLaw, n: int, func: PathFunctional) -> float:
     """E[sum over |x|=n of e^{-V(x)} F(path)] by brute-force path enumeration.
@@ -191,7 +151,10 @@ def expected_leaf_sum_exact(vlaw: VLaw, n: int, func: PathFunctional) -> float:
     weights.  Independent of the tilted-walk construction it validates.
     Sequences grow one level at a time in lexicographic order.
     """
-    v, nu, w = _joint_child_atoms(vlaw)
+    u, nu, w, noise = models.child_atoms(vlaw.base)
+    if noise > 0:
+        raise ValueError("exact enumeration needs finite displacement support")
+    v = vlaw.v_increment(u)
     a = v.size
     if a ** n > _ENUM_BUDGET:
         raise ValueError(f"{a}^{n} paths exceed the enumeration budget")
@@ -266,8 +229,11 @@ def many_to_one_check(law: OffspringLaw, vlaw: VLaw, sp: SpineLaw, n: int,
     The two estimates pass when their 3-standard-error intervals overlap.
     On finite-support laws at small depth the exact enumeration value is
     also computed and located against both intervals.  A functional with
-    zero variance on both routes is reported vacuous.
+    zero variance on both routes is reported vacuous.  Raises ValueError
+    unless ``sp`` was built from ``vlaw`` and ``vlaw`` from ``law``.
     """
+    if sp.vlaw != vlaw or vlaw.base != law:
+        raise ValueError("the spine must be built from vlaw, and vlaw from law")
     lhs, lse = tree_many_to_one_lhs(vlaw, n, func, replicates, seed)
     rhs, rse = spine_many_to_one_rhs(sp, n, func, replicates, seed + 1)
     in_l = in_r = None
@@ -288,7 +254,7 @@ def many_to_one_check(law: OffspringLaw, vlaw: VLaw, sp: SpineLaw, n: int,
 
 __all__ = [
     "SpineLaw", "make_spine", "sample_spine_step",
-    "PathFunctional", "functional", "default_library",
+    "PathFunctional", "functional",
     "expected_leaf_sum_exact", "tree_many_to_one_lhs", "spine_many_to_one_rhs",
     "CheckReport", "many_to_one_check",
 ]

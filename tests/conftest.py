@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from kbrw.analysis import solve_tstar
 from kbrw.models import (BinaryBernoulli, DiscreteFinite, ExplicitFinite,
-                         Gaussian, ProductLaw)
-from kbrw.spine import make_spine
+                         Gaussian, ProductLaw, brood_sampler)
+from kbrw.spine import functional, make_spine
 from kbrw.transform import make_vlaw
 
 P0 = 0.0669872981077807  # root of 16 p (1 - p) = 1 in (0, 1/2)
@@ -25,6 +26,37 @@ def regression_slope(x, y) -> float:
     y = np.asarray(y, dtype=np.float64)
     xc = x - x.mean()
     return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
+
+
+def sample_broods(law, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``count`` independent broods from one stream.
+
+    Returns ``(counts, flat)`` where ``counts[i]`` is the number of children
+    of brood i and ``flat`` concatenates the child displacements in brood
+    order: the one-stream case of ``brood_sampler``.
+    """
+    return brood_sampler(law)([count], [rng])
+
+
+def gw_survival_to_n(ll, n: int) -> float:
+    """P{generation n is non-empty} of a ``LatticeLaw``'s Galton-Watson
+    process, with no barrier, by pgf iteration."""
+    coeffs = np.asarray(ll.pgf_coeffs)
+    q = 0.0
+    for _ in range(n):
+        q = float(npoly.polyval(q, coeffs))
+    return 1.0 - q
+
+
+def default_library(profile_sigma: float = 1.0):
+    """The fixed functionals exercised by the identity checks."""
+    return (
+        functional("one"),
+        functional("below_line", slope=0.5),
+        functional("band", half_width=2.0 * profile_sigma),
+        functional("exp_capped", u=1.0, cap=2.0),
+        functional("below_line_maxnu", slope=0.5, r=2),
+    )
 
 
 @pytest.fixture(scope="session")

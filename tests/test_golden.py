@@ -17,16 +17,16 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import default_library, gw_survival_to_n, sample_broods
 from kbrw.analysis import solve_tstar
 from kbrw.cli import main
-from kbrw.models import (BinaryBernoulli, DiscreteFinite, ExplicitFinite, Gaussian, ProductLaw,
-                         sample_broods)
+from kbrw.models import BinaryBernoulli, DiscreteFinite, ExplicitFinite, Gaussian, ProductLaw
 from kbrw.mogulskii import (ArraySpec, CorridorSpec, brownian_corridor_mc,
                             corridor_constant, triangular_experiment)
-from kbrw.oracle import LatticeLaw, exact_path_survival, gw_survival_to_n, rho_limit
+from kbrw.oracle import LatticeLaw, exact_path_survival, rho_limit
 from kbrw.simulate import (GwEmbedParams, escape_cap_sweep, estimate_M_kappa, estimate_rho,
                            simulate_G)
-from kbrw.spine import (default_library, expected_leaf_sum_exact, functional, make_spine,
+from kbrw.spine import (expected_leaf_sum_exact, functional, make_spine,
                         spine_many_to_one_rhs, tree_many_to_one_lhs)
 from kbrw.transform import barrier_map, make_vlaw
 
@@ -127,6 +127,33 @@ def test_many_to_one_routes():
     g = functional("below_line_maxnu", slope=0.5, r=2)
     assert spine_many_to_one_rhs(make_spine(vm), 4, g, 10_000, seed=6) == \
         (0.1002, 0.003002814960960628)
+
+
+def test_spine_tables():
+    # (s_values, nu_values, probs, noise) of make_spine: finite laws tilt one
+    # atom per child, a Gaussian step puts its tilted mean at each count
+    expected = {
+        BinaryBernoulli(0.3): ([2.3371509353037863, -0.36551835253670895], [2, 2],
+                               [0.13524346252099828, 0.8647565374790018], 0.0),
+        MIXED: ([2.192995292399475] * 3 + [-0.20028532658221776] * 3, [1, 2, 3] * 2,
+                [0.016737304016395383, 0.033474608032790766, 0.03347460803279077,
+                 0.1832626959836046, 0.3665253919672092, 0.36652539196720924], 0.0),
+        SKEWED: ([2.845760149845482] * 3 + [1.808664938678613] * 3
+                 + [-0.26552548365512485] * 3, [1, 2, 3] * 3,
+                 [0.005228108349973595, 0.013941622266596254, 0.010456216699947191,
+                  0.014748549392106524, 0.0393294650456174, 0.029497098784213055,
+                  0.15649393049321395, 0.41731714798190395, 0.312987860986428], 0.0),
+        EXPLICIT: ([2.208440866461773, 0.7633395545243704, 3.6535421783991753,
+                    0.7633395545243704, -0.6817617574130321], [2, 2, 3, 3, 3],
+                   [0.04944231894627461, 0.20974825549399415, 0.007769767928153731,
+                    0.13983217032932943, 0.5932074873022481], 0.0),
+        GAUSS_MIXED: ([0.0, 0.0], [1, 3], [0.25, 0.75], 1.1774100225154747),
+        GAUSS_FIXED: ([-2.220446049250313e-16], [2], [1.0], 1.1774100225154749),
+    }
+    for law, table in expected.items():
+        sp = make_spine(_vlaw(law))
+        assert (sp.s_values.tolist(), sp.nu_values.tolist(), sp.probs.tolist(),
+                sp.noise) == table
 
 
 def test_exact_leaf_sums_of_the_library():

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import sample_broods
 from kbrw.errors import LawValidationError
 from kbrw.models import (BinaryBernoulli, DiscreteFinite, ExplicitFinite,
-                         Gaussian, ProductLaw, intensity_atoms, is_lattice,
-                         mean_children, offspring_pmf, sample_broods, validate)
+                         Gaussian, ProductLaw, child_atoms, intensity_atoms, is_lattice,
+                         mean_children, offspring_pmf, step_law, validate)
 from kbrw.rng import replicate_stream
 
 
@@ -136,6 +137,25 @@ def test_structural_views(law_explicit):
     assert is_lattice(law_explicit)
     assert not is_lattice(ProductLaw(((2, 1.0),), Gaussian(0.0, 1.0)))
     assert not is_lattice(ProductLaw(((2, 1.0),), DiscreteFinite(((0.5, 0.5), (1.0, 0.5)))))
+
+
+@pytest.mark.parametrize("name", ["law_p03", "law_p0", "law_explicit", "law_gaussian",
+                                  "law_mixed_offspring", "law_tenths"])
+def test_child_atoms_merge_to_the_intensity(request, name):
+    # merged over child counts, the per-child table is the displacement
+    # intensity; a Gaussian step keeps its sd as the noise
+    law = request.getfixturevalue(name)
+    values, counts, weights, noise = child_atoms(law)
+    assert weights.sum() == pytest.approx(mean_children(law), rel=1e-15, abs=0)
+    merged = {}
+    for v, w in zip(values.tolist(), weights.tolist()):
+        merged[v] = merged.get(v, 0.0) + w
+    ivalues, iweights, inoise = intensity_atoms(law)
+    assert sorted(merged) == ivalues.tolist()
+    assert [merged[v] for v in ivalues.tolist()] == \
+        pytest.approx(iweights.tolist(), rel=1e-15, abs=0)
+    assert noise == inoise == getattr(step_law(law), "stddev", 0.0)
+    assert set(counts.tolist()) <= {k for k, _ in offspring_pmf(law)} - {0}
 
 
 @given(st.floats(min_value=1e-6, max_value=1 - 1e-6))

@@ -10,12 +10,12 @@ import mpmath
 import numpy as np
 import pytest
 
+from conftest import gw_survival_to_n
 from kbrw import mogulskii, oracle
 from kbrw.analysis import solve_tstar
 from kbrw.errors import LatticeError
 from kbrw.models import BinaryBernoulli, DiscreteFinite, ExplicitFinite, ProductLaw
-from kbrw.oracle import (LatticeLaw, exact_corridor_walk, exact_path_survival,
-                         gw_survival_to_n, rho_limit)
+from kbrw.oracle import LatticeLaw, exact_corridor_walk, exact_path_survival, rho_limit
 from kbrw.transform import barrier_map
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import proportion_stderr
+from conftest import proportion_stderr, sample_broods
 from kbrw import simulate, spine, stats
 from kbrw.analysis import solve_tstar
 from kbrw.errors import GridExhausted
@@ -294,12 +294,11 @@ def test_simulate_G_subset_of_generation(vlaw_p03):
 
 def _brute_force_G_count(vlaw, params, rng):
     """Literal transcription of the two-phase set on an explicit tree."""
-    from kbrw import models
     levels = [[(0.0, None)]]  # (V, parent index)
     for g in range(1, params.n + 1):
         prev, cur = levels[-1], []
         for parent_idx, (pv, _) in enumerate(prev):
-            counts, flat = models.sample_broods(vlaw.base, 1, rng)
+            counts, flat = sample_broods(vlaw.base, 1, rng)
             for d in flat:
                 cur.append((pv + float(vlaw.v_increment(d)), parent_idx))
         levels.append(cur)

@@ -4,12 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import default_library
 from kbrw.analysis import solve_tstar
 from kbrw.models import Gaussian, ProductLaw
 from kbrw.rng import replicate_stream
-from kbrw.spine import (default_library, expected_leaf_sum_exact, functional,
-                        make_spine, many_to_one_check, sample_spine_step,
-                        spine_many_to_one_rhs, tree_many_to_one_lhs)
+from kbrw.spine import (expected_leaf_sum_exact, functional, make_spine, many_to_one_check,
+                        sample_spine_step, spine_many_to_one_rhs, tree_many_to_one_lhs)
 from kbrw.transform import make_vlaw
 
 
@@ -132,6 +132,18 @@ def test_many_to_one_random_topology(law_mixed_offspring):
         target = k * pk / m
         freq = (nu == k).mean()
         assert abs(freq - target) <= 4.0 * math.sqrt(target * (1 - target) / nu.size)
+
+
+def test_many_to_one_check_refuses_a_spine_of_another_law(vlaw_p03, spine_p03,
+                                                         law_mixed_offspring):
+    # the binary spine against the mixed law's identity would compare two
+    # different expectations
+    vlaw = make_vlaw(law_mixed_offspring, solve_tstar(law_mixed_offspring))
+    f = functional("below_line", slope=0.5)
+    with pytest.raises(ValueError):
+        many_to_one_check(law_mixed_offspring, vlaw, spine_p03, 4, f, 1_000)
+    with pytest.raises(ValueError):
+        many_to_one_check(law_mixed_offspring, vlaw_p03, spine_p03, 4, f, 1_000)
 
 
 def test_explicit_many_to_one(law_explicit):
