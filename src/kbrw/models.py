@@ -13,7 +13,9 @@ supported models:
 
 ``child_atoms`` is the one per-child table of a law: each child's
 displacement atom with its brood size and expected count, which the spine
-tilts and the exact enumeration walks.
+tilts and the exact enumeration walks.  ``intensity_atoms``, behind the
+cumulant and validation, is that table merged over brood sizes; neither
+carries an atom of weight 0.
 
 Probability vectors are accepted with up to 1e-12 of decimal round-off and
 renormalized exactly at construction.  Laws are immutable and hashable, so
@@ -165,24 +167,12 @@ def _step_atoms(step: StepLaw) -> tuple[np.ndarray, np.ndarray, float]:
 def intensity_atoms(law: OffspringLaw) -> tuple[np.ndarray, np.ndarray, float]:
     """Displacement intensity (values, weights, noise): an atom plus a N(0, noise^2) part.
 
-    ``weights[i]`` is the expected number of children whose atom is
-    ``values[i]``; weights sum to the mean child count.  Finite laws have
-    noise 0; a Gaussian step N(mu, sd) is the one atom mu with noise sd.
+    ``child_atoms`` merged over brood sizes: ``weights[i]`` > 0 is the expected number of
+    children at ``values[i]`` (sorted), and the weights sum to the mean child count.
     """
-    m = mean_children(law)
-    acc: dict[float, float] = {}
-    noise = 0.0
-    if isinstance(law, ExplicitFinite):
-        for ds, p in law.outcomes:
-            for d in ds:
-                acc[d] = acc.get(d, 0.0) + p
-    else:
-        values, probs, noise = _step_atoms(step_law(law))
-        for v, q in zip(values.tolist(), probs.tolist()):
-            acc[v] = acc.get(v, 0.0) + m * q
-    values = np.array(sorted(acc))
-    weights = np.array([acc[v] for v in values])
-    return values, weights, noise
+    u, _, w, noise = child_atoms(law)
+    values, inverse = np.unique(u, return_inverse=True)
+    return values, np.bincount(inverse, weights=w), noise
 
 
 def child_atoms(law: OffspringLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -193,7 +183,8 @@ def child_atoms(law: OffspringLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     the mean child count.  Explicit laws give one atom per child of each
     outcome; product laws list the step atoms u-major, then the child counts
     k > 0, with weight k p_k q_u.  A Gaussian step N(mu, sd) is the one atom
-    mu with noise sd.  Zero-weight atoms are dropped.
+    mu with noise sd.  Zero-weight atoms are dropped, so a law without
+    children has empty arrays.
     """
     noise = 0.0
     if isinstance(law, ExplicitFinite):
@@ -202,7 +193,7 @@ def child_atoms(law: OffspringLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
         values, probs, noise = _step_atoms(step_law(law))
         atoms = [(u, k, k * pk * qu) for u, qu in zip(values.tolist(), probs.tolist())
                  for k, pk in offspring_pmf(law) if k > 0]
-    u, nu, w = (np.array(c) for c in zip(*atoms))
+    u, nu, w = np.array(atoms, dtype=np.float64).reshape(-1, 3).T
     keep = w > 0
     return u[keep], nu[keep].astype(np.int64), w[keep], noise
 

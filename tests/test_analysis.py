@@ -111,6 +111,11 @@ def test_percolation_detection():
     law = ProductLaw(((3, 1.0),), DiscreteFinite(((0.0, 0.6), (1.0, 0.4))))
     with pytest.raises(NoCriticalPoint):
         solve_tstar(law)
+    # a zero-probability atom above the top one carries no children, so it
+    # cannot hide the percolating top intensity of BinaryBernoulli(0.5)
+    law = ProductLaw(((2, 1.0),), DiscreteFinite(((0.0, 0.5), (1.0, 0.5), (2.0, 0.0))))
+    with pytest.raises(NoCriticalPoint, match="maximal displacement"):
+        solve_tstar(law)
     # deterministic displacements: no psi curvature, rejected at validation
     from kbrw.errors import LawValidationError
     with pytest.raises(LawValidationError):

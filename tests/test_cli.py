@@ -283,6 +283,37 @@ def test_survival_non_lattice_warns_and_omits_oracle(tmp_path, capsys):
     assert {r["method"] for r in rows} == {"mc"}
 
 
+def _binary_step_law(atoms):
+    return {"type": "product", "offspring_pmf": [[2, 1.0]],
+            "step": {"type": "discrete", "atoms": atoms}}
+
+
+@pytest.mark.filterwarnings("error")
+def test_zero_probability_atom_does_not_make_a_step_random(tmp_path, capsys):
+    # a deterministic step with a decoy atom of probability 0 is still
+    # deterministic: rejected at validation, before the cumulant takes log 0
+    cfg = _write(tmp_path, "za.json", {"law": _binary_step_law([[0, 1.0], [1, 0.0]])})
+    assert main(["analyze", "--config", cfg]) == EXIT_VALIDATION
+    assert "strict-convexity" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_zero_probability_atom_keeps_a_lattice_law_lattice(tmp_path):
+    # a non-integer atom of probability 0 displaces no child: the law is the
+    # lattice law without it, oracle rows included
+    data = []
+    for name, atoms in (("decoy", [[0, 0.7], [1, 0.3], [0.5, 0.0]]),
+                        ("plain", [[0, 0.7], [1, 0.3]])):
+        config = {**_survival_config(), "law": _binary_step_law(atoms),
+                  "slopes": [0.1], "n": [6]}
+        out = tmp_path / f"{name}.csv"
+        assert main(["survival", "--config", _write(tmp_path, f"{name}.json", config),
+                     "--out", str(out)]) == EXIT_OK
+        data.append(_read_rows(out))
+    assert [r for r in data[0] if r["method"] != "mc"] != []
+    assert data[0] == data[1]
+
+
 def test_pemantle_reproduction(tmp_path):
     cfg = _write(tmp_path, "p.json", {
         "law": {"type": "binary_bernoulli", "p": 0.3},
@@ -354,10 +385,11 @@ def test_survival_time_budget_exit_code(tmp_path):
 
 @pytest.mark.parametrize("threads", [["--threads", "1"], []])
 def test_survival_time_budget_stops_the_run(tmp_path, threads):
-    # the shipped grid takes well over 10 s; the alarm must stop it, the
-    # pool's workers included, and leave no CSV behind
+    # the shipped grid at 2,000,000 replicates takes several seconds; the
+    # alarm must stop it, the pool's workers included, and leave no CSV behind
     from kbrw.cli import EXIT_BUDGET
     config = json.loads((CONFIGS / "survival_binary.json").read_text())
+    config["replicates"] = 2_000_000
     config["time_budget_s"] = 0.5
     cfg = _write(tmp_path, "sb.json", config)
     out = tmp_path / "sb.csv"

@@ -17,10 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import default_library, gw_survival_to_n, sample_broods
+from conftest import P0, default_library, gw_survival_to_n, sample_broods
 from kbrw.analysis import solve_tstar
 from kbrw.cli import main
-from kbrw.models import BinaryBernoulli, DiscreteFinite, ExplicitFinite, Gaussian, ProductLaw
+from kbrw.models import (BinaryBernoulli, DiscreteFinite, ExplicitFinite, Gaussian, ProductLaw,
+                         intensity_atoms)
 from kbrw.mogulskii import (ArraySpec, CorridorSpec, brownian_corridor_mc,
                             corridor_constant, triangular_experiment)
 from kbrw.oracle import LatticeLaw, exact_path_survival, rho_limit
@@ -127,6 +128,24 @@ def test_many_to_one_routes():
     g = functional("below_line_maxnu", slope=0.5, r=2)
     assert spine_many_to_one_rhs(make_spine(vm), 4, g, 10_000, seed=6) == \
         (0.1002, 0.003002814960960628)
+
+
+def test_intensity_tables():
+    # (values, weights, noise) of intensity_atoms on the models fixture laws;
+    # MIXED is also the bench's mixed law
+    expected = {
+        BinaryBernoulli(0.3): ([0.0, 1.0], [1.4, 0.6], 0.0),
+        BinaryBernoulli(P0): ([0.0, 1.0], [1.8660254037844386, 0.1339745962155614], 0.0),
+        ExplicitFinite((((0.0, 0.0), 0.5), ((0.0, 1.0), 0.3), ((1.0, 2.0), 0.2))):
+            ([0.0, 1.0, 2.0], [1.3, 0.5, 0.2], 0.0),
+        GAUSS_MIXED: ([0.0], [2.0], 1.0),
+        MIXED: ([0.0, 1.0], [0.75, 0.75], 0.0),
+        ExplicitFinite(tuple(((0.0, float((j + 1) % 3)), 0.1) for j in range(10))):
+            ([0.0, 1.0, 2.0], [1.3, 0.4, 0.30000000000000004], 0.0),
+    }
+    for law, table in expected.items():
+        values, weights, noise = intensity_atoms(law)
+        assert (values.tolist(), weights.tolist(), noise) == table
 
 
 def test_spine_tables():
