@@ -13,7 +13,7 @@ supported models:
 
 ``child_atoms`` is the one per-child table of a law: each child's
 displacement atom with its brood size and expected count, which the spine
-tilts and the exact enumeration walks.  ``intensity_atoms``, behind the
+tilts and the exact many-to-one value walks.  ``intensity_atoms``, behind the
 cumulant and validation, is that table merged over brood sizes; neither
 carries an atom of weight 0.
 

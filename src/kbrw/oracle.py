@@ -36,7 +36,7 @@ from .models import BOUNDARY_TOL, OffspringLaw
 
 @dataclass(frozen=True)
 class LatticeLaw:
-    """Integer-displacement view of an offspring law.
+    """Integer-displacement view of an offspring law, without atoms of probability 0.
 
     Every law carries its offspring pgf.  Product-structured laws add the
     integer step pmf; explicit laws keep their atomic outcomes, since
@@ -52,17 +52,16 @@ class LatticeLaw:
     def from_law(cls, law: OffspringLaw) -> "LatticeLaw":
         if not models.is_lattice(law):
             raise LatticeError("exact DP requires finite integer displacements")
-        pmf = models.offspring_pmf(law)
-        coeffs = [0.0] * (max(k for k, _ in pmf) + 1)
-        for k, p in pmf:
-            coeffs[k] += p
+        pmf = {k: p for k, p in models.offspring_pmf(law) if p > 0}
+        coeffs = [pmf.get(k, 0.0) for k in range(max(pmf) + 1)]
         step = models.step_law(law)
         if step is None:
-            outs = tuple((tuple(int(round(d)) for d in ds), p) for ds, p in law.outcomes)
+            outs = tuple((tuple(int(round(d)) for d in ds), p) for ds, p in law.outcomes if p > 0)
             values = tuple(sorted({d for ds, _ in outs for d in ds}))
             return cls(tuple(coeffs), values, None, outs)
-        values = tuple(int(round(v)) for v in step.values)
-        return cls(tuple(coeffs), values, tuple(step.probs), None)
+        keep = step.probs > 0
+        values = tuple(int(round(v)) for v in step.values[keep])
+        return cls(tuple(coeffs), values, tuple(step.probs[keep]), None)
 
     @property
     def u_min(self) -> int:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
+from kbrw import models
 from kbrw.analysis import solve_tstar
 from kbrw.models import (BinaryBernoulli, DiscreteFinite, ExplicitFinite,
                          Gaussian, ProductLaw, brood_sampler)
@@ -46,6 +47,23 @@ def gw_survival_to_n(ll, n: int) -> float:
     for _ in range(n):
         q = float(npoly.polyval(q, coeffs))
     return 1.0 - q
+
+
+def enumerated_leaf_sum(vlaw, n: int, func) -> float:
+    """E[sum over |x|=n of e^{-V(x)} F(path)] by brute force: the reference for
+    ``expected_leaf_sum_exact``.  Every length-n sequence of child atoms
+    contributes the product of its intensity weights; sequences grow one
+    level at a time in lexicographic order."""
+    u, nu, w, _ = models.child_atoms(vlaw.base)
+    v = vlaw.v_increment(u)
+    a = v.size
+    assert a ** n <= 1 << 21, f"{a}^{n} paths are too many to enumerate"
+    s, weights, ok = np.zeros(1), np.ones(1), np.ones(1, dtype=bool)
+    for i in range(1, n + 1):
+        s = np.repeat(s, a) + np.tile(v, s.size)
+        weights = np.repeat(weights, a) * np.tile(w, weights.size)
+        ok = func.admit(np.repeat(ok, a), i, s, np.tile(nu, ok.size))
+    return float(np.dot(weights, np.exp(-s) * func.weight(ok, s)))
 
 
 def default_library(profile_sigma: float = 1.0):

@@ -560,6 +560,20 @@ def test_mogulskii_lattice_family_needs_integer_atoms(tmp_path):
         == EXIT_VALIDATION
 
 
+def test_mogulskii_lattice_family_drops_zero_probability_atoms(tmp_path):
+    # an atom of probability 0 is no step, integer or not: the data rows are
+    # those of the walk without it
+    data = []
+    for name, extra in (("plain", []), ("half", [[0.5, 0.0]]), ("five", [[5, 0.0]])):
+        config = {**_mog_config(), "n_list": [1000, 4000],
+                  "family": {"type": "lattice", "atoms": [[-1, 0.5], [1, 0.5]] + extra}}
+        out = tmp_path / f"{name}.csv"
+        assert main(["mogulskii", "--config", _write(tmp_path, f"{name}.json", config),
+                     "--out", str(out)]) == EXIT_OK
+        data.append(out.read_bytes().split(b"\n", 1)[1])
+    assert data[0] == data[1] == data[2]
+
+
 def test_mogulskii_lattice_family_needs_atoms(tmp_path):
     config = _mog_config()
     config["family"] = {"type": "lattice"}

@@ -176,18 +176,18 @@ def test_spine_tables():
 
 
 def test_exact_leaf_sums_of_the_library():
-    # every library functional by exact enumeration at n = 4; the functional
-    # below_line_maxnu(0.5, 2) is exactly 0 on EXPLICIT, whose broods of two
-    # all step above the line
+    # every library functional by the exact forward pass at n = 4; the
+    # functional below_line_maxnu(0.5, 2) is exactly 0 on EXPLICIT, whose
+    # broods of two all step above the line
     expected = {
-        BinaryBernoulli(0.3): [1.0000000000000004, 0.6466682845672752, 0.7341259424746678,
+        BinaryBernoulli(0.3): [1.0000000000000007, 0.6466682845672752, 0.7341259424746678,
                                2.0112992451873795, 0.6466682845672752],
-        MIXED: [0.9999999999999992, 0.7693646476941183, 0.7049791976545013,
-                1.8589656996919106, 0.09970965834115772],
-        EXPLICIT: [1.0000000000000002, 0.5376158894385491, 0.6040245656787993,
+        MIXED: [0.999999999999999, 0.769364647694118, 0.7049791976545012,
+                1.8589656996919106, 0.09970965834115769],
+        EXPLICIT: [1.0, 0.5376158894385491, 0.604024565678799,
                    2.1139801370028732, 0.0],
-        SKEWED: [0.9999999999999994, 0.7350132356783804, 0.7350132356783804,
-                 1.951923429270486, 0.12884578469567134],
+        SKEWED: [0.9999999999999997, 0.7350132356783805, 0.7350132356783805,
+                 1.9519234292704855, 0.12884578469567134],
     }
     for law, values in expected.items():
         vl = _vlaw(law)

@@ -150,6 +150,25 @@ def test_non_lattice_rejected(law_gaussian):
                                        DiscreteFinite(((0.25, 0.5), (1.0, 0.5)))))
 
 
+def test_zero_probability_atoms_do_not_widen_the_dp():
+    # a step atom, a child count or an explicit outcome of probability 0 is
+    # no displacement: the lattice law, and so rho, is that of the law
+    # without it
+    def binary(atoms, counts=((2, 1.0),)):
+        return ProductLaw(counts, DiscreteFinite(atoms))
+
+    plain = LatticeLaw.from_law(binary(((0, 0.7), (1, 0.3))))
+    for law in (binary(((0, 0.7), (1, 0.3), (5, 0.0))),
+                binary(((0, 0.7), (1, 0.3)), ((2, 1.0), (3, 0.0)))):
+        ll = LatticeLaw.from_law(law)
+        assert ll == plain and ll.u_max == 1
+        assert exact_path_survival(ll, 4000, u_line=0.6) == \
+            exact_path_survival(plain, 4000, u_line=0.6)
+    outcomes = (((0.0, 1.0), 0.5), ((-1.0, 1.0, 2.0), 0.5))
+    assert LatticeLaw.from_law(ExplicitFinite(outcomes + (((7.0,), 0.0),))) == \
+        LatticeLaw.from_law(ExplicitFinite(outcomes))
+
+
 def test_corridor_unconstrained():
     lower = np.full(6, -100)
     upper = np.full(6, 100)

@@ -4,9 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import default_library
+from conftest import default_library, enumerated_leaf_sum
 from kbrw.analysis import solve_tstar
-from kbrw.models import Gaussian, ProductLaw
+from kbrw.models import DiscreteFinite, ExplicitFinite, Gaussian, ProductLaw
+from kbrw.oracle import exact_corridor_walk
 from kbrw.rng import replicate_stream
 from kbrw.spine import (expected_leaf_sum_exact, functional, make_spine, many_to_one_check,
                         sample_spine_step, spine_many_to_one_rhs, tree_many_to_one_lhs)
@@ -174,9 +175,63 @@ def test_enumeration_matches_martingale(vlaw_p03):
         assert val == pytest.approx(1.0, abs=1e-12)
 
 
-def test_enumeration_budget_guard(vlaw_p03):
-    with pytest.raises(ValueError):
-        expected_leaf_sum_exact(vlaw_p03, 40, functional("one"))
+SKEWED = ProductLaw(((0, 0.1), (1, 0.3), (2, 0.4), (3, 0.2)),
+                    DiscreteFinite(((-1.0, 0.3), (0.0, 0.3), (2.0, 0.4))))
+EXPLICIT = ExplicitFinite((((), 0.25), ((0.0, 1.0), 0.45), ((-1.0, 1.0, 2.0), 0.3)))
+
+
+@pytest.mark.parametrize("law", ["law_p03", "law_mixed_offspring", SKEWED, EXPLICIT,
+                                 "law_tenths"], ids=["binary", "mixed", "skewed", "explicit",
+                                                     "tenths"])
+def test_exact_value_matches_enumeration(law, request):
+    # n <= 6, or as deep as 2^21 atom sequences reach: tenths has 20 child
+    # atoms, so it stops at n = 4
+    if isinstance(law, str):
+        law = request.getfixturevalue(law)
+    vl = make_vlaw(law, solve_tstar(law))
+    atoms = make_spine(vl).s_values.size     # one per child atom
+    for n in range(1, 7):
+        if atoms ** n > 1 << 21:
+            break
+        for f in default_library(vl.profile.sigma):
+            ref = enumerated_leaf_sum(vl, n, f)
+            assert expected_leaf_sum_exact(vl, n, f) == pytest.approx(ref, rel=1e-13, abs=0), \
+                (n, f.name)
+
+
+def test_exact_value_at_depth_40_matches_the_corridor_walk(vlaw_p03, spine_p03):
+    # 2^40 atom sequences: far past enumeration.  The binary spine steps
+    # S_i - S_{i-1} = psi - t* u with u in {0, 1}, so S_i <= slope i reads
+    # U_i >= (psi - slope) i / t*, a corridor of the spine walk's own DP
+    n, slope = 40, 0.5
+    i = np.arange(1, n + 1)
+    lower = np.ceil((vlaw_p03.psi_tstar - slope) * i / vlaw_p03.t_star)
+    walk, _ = exact_corridor_walk([0, 1], spine_p03.probs, lower, i)
+    exact = expected_leaf_sum_exact(vlaw_p03, n, functional("below_line", slope=slope))
+    assert exact == pytest.approx(walk, rel=1e-12)
+    assert expected_leaf_sum_exact(vlaw_p03, n, functional("one")) == \
+        pytest.approx(1.0, abs=1e-12)
+
+
+def test_exact_value_at_depth_1000(vlaw_p03, spine_p03):
+    # the martingale's mean stays 1, and the spine route at the paper's depths
+    # meets the exact value
+    assert expected_leaf_sum_exact(vlaw_p03, 1000, functional("one")) == \
+        pytest.approx(1.0, abs=1e-12)
+    f = functional("below_line", slope=0.5)
+    exact = expected_leaf_sum_exact(vlaw_p03, 1000, f)
+    mean, se = spine_many_to_one_rhs(spine_p03, 1000, f, 16_384, seed=3)
+    assert abs(mean - exact) <= 4.0 * se
+
+
+def test_exact_value_past_the_enumeration_reach(law_tenths):
+    # 20 child atoms: n = 5 is 3.2 million atom sequences, and the check
+    # still reports the exact value
+    vlaw = make_vlaw(law_tenths, solve_tstar(law_tenths))
+    rep = many_to_one_check(law_tenths, vlaw, make_spine(vlaw), 5,
+                            functional("below_line", slope=0.5), 4_000, seed=7)
+    assert rep.exact is not None
+    assert rep.passed and rep.exact_in_lhs and rep.exact_in_rhs
 
 
 def test_top_uniform_draws_the_last_spine_atom(law_tenths, top_uniform):
@@ -203,7 +258,7 @@ def test_tree_route_memory(vlaw_p03):
 
 
 def test_exact_route_memory(vlaw_p03):
-    # 2^18 atom sequences; a digit matrix of all of them peaked at 125 MB
+    # n = 18: a digit matrix of all 2^18 atom sequences peaked at 125 MB
     f = functional("below_line_maxnu", slope=0.5, r=2)
     assert _peak_bytes(lambda: expected_leaf_sum_exact(vlaw_p03, 18, f)) < 32 << 20
 
