@@ -19,7 +19,7 @@ from .oracle import LatticeLaw, exact_corridor_walk, exact_path_survival, rho_li
 from .simulate import (BarrierSpec, GwEmbedParams, SurvivalEstimate,
                        estimate_M_kappa, estimate_rho, simulate_G)
 from .spine import SpineLaw, functional, make_spine, many_to_one_check
-from .transform import VLaw, barrier_map, make_vlaw
+from .transform import VLaw, make_vlaw
 
 __version__ = "0.1.0"
 
@@ -28,7 +28,7 @@ __all__ = [
     "OffspringLaw", "StepLaw", "validate",
     "CgfEvaluator", "CriticalProfile", "solve_tstar", "gamma_bs_solve",
     "beta_bs_from_gamma_derivative", "aldous_rate",
-    "VLaw", "make_vlaw", "barrier_map",
+    "VLaw", "make_vlaw",
     "SpineLaw", "make_spine", "functional", "many_to_one_check",
     "BarrierSpec", "SurvivalEstimate", "GwEmbedParams",
     "estimate_rho", "estimate_M_kappa", "simulate_G",

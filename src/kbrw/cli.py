@@ -298,13 +298,18 @@ def _run_rows(tasks, worker, threads: int | None):
         return list(pool.imap(worker, tasks))
 
 
+def _certified(config: dict) -> transform.VLaw:
+    """The config's law with its solved profile and certified centering."""
+    law = law_from_config(config["law"])
+    return transform.make_vlaw(law, solve_tstar(law))
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
-def cmd_analyze(config: dict, out_path: str | None) -> int:
-    law = law_from_config(config["law"])
-    vlaw = transform.make_vlaw(law, solve_tstar(law))
-    profile = vlaw.profile
+def cmd_analyze(config: dict, threads: int | None):
+    vlaw = _certified(config)
+    law, profile = vlaw.base, vlaw.profile
     rows = [
         ("mean_children", models.mean_children(law)),
         ("t_star", profile.t_star),
@@ -332,10 +337,7 @@ def cmd_analyze(config: dict, out_path: str | None) -> int:
             rows.append(("aldous_rate", aldous_rate(law.p)))
     for key, value in rows:
         print(f"{key} = {_fmt(value)}")
-    if out_path is not None:
-        write_csv(out_path, "analyze", config, ["quantity", "value"],
-                  [[k, v] for k, v in rows])
-    return EXIT_OK
+    return ["quantity", "value"], [[k, v] for k, v in rows], []
 
 
 # ---------------------------------------------------------------------------
@@ -355,18 +357,16 @@ def _survival_row(vlaw: transform.VLaw, config: dict, task: tuple) -> list:
         fields = [est.p_hat, est.ci_low, est.ci_high, est.replicates, row_seed, est.cap_hits]
     else:
         ll = oracle.LatticeLaw.from_law(vlaw.base)
-        p = oracle.exact_path_survival(ll, n, v_slope=barrier.v_slope(vlaw.profile),
-                                       profile=vlaw.profile)
+        p = oracle.exact_path_survival(ll, n, barrier.u_line(vlaw.profile))
         fields = [p, p, p, 0, row_seed, 0]
     runtime_ms = (time.perf_counter() - started) * 1e3 if config.get("record_runtime") else 0.0
     return [method, coordinate, slope, n, *fields, runtime_ms]
 
 
 def cmd_survival(config: dict, threads: int | None):
-    law = law_from_config(config["law"])
-    vlaw = transform.make_vlaw(law, solve_tstar(law))
+    vlaw = _certified(config)
     methods = ["mc"]
-    if models.is_lattice(law):
+    if models.is_lattice(vlaw.base):
         methods.append("oracle")
     else:
         print("warning: non-lattice law, oracle rows omitted", file=sys.stderr)
@@ -385,10 +385,10 @@ def cmd_survival(config: dict, threads: int | None):
 
 def _pemantle_row(ll, profile, rel_tol: float, n_start: int, n_max: int, eps_u: float) -> list:
     """The CSV row, in header order, at one eps_U."""
-    eps_v = transform.barrier_map(eps_u, profile)
-    rho, n_used = oracle.rho_limit(ll, profile, eps_v, rel_tol=rel_tol,
+    barrier = simulate.BarrierSpec("U", eps_u)
+    rho, n_used = oracle.rho_limit(ll, barrier.u_line(profile), rel_tol=rel_tol,
                                    n_start=n_start, n_max=n_max)
-    return [eps_u, eps_v, n_used, rho,
+    return [eps_u, barrier.v_slope(profile), n_used, rho,
             math.sqrt(eps_u) * math.log(rho) if rho > 0 else -math.inf, -profile.beta_U]
 
 
@@ -396,11 +396,11 @@ def cmd_pemantle(config: dict, threads: int | None):
     n_start, n_max = int(config.get("n_start", 128)), int(config.get("n_max", 1 << 18))
     if n_start >= n_max:
         raise ValueError(f"n_start = {n_start} leaves no doubling below n_max = {n_max}")
-    law = law_from_config(config["law"])
-    if not isinstance(law, BinaryBernoulli):
+    if config["law"]["type"] != "binary_bernoulli":
         raise LawValidationError("pemantle command needs a binary_bernoulli law")
-    profile = solve_tstar(law)
-    worker = functools.partial(_pemantle_row, oracle.LatticeLaw.from_law(law), profile,
+    vlaw = _certified(config)
+    law = vlaw.base
+    worker = functools.partial(_pemantle_row, oracle.LatticeLaw.from_law(law), vlaw.profile,
                                config.get("rel_tol", 0.01), n_start, n_max)
     # n_used grows about as eps_U^(-3/2), so the deepest rows go first and
     # the pool does not end on one long row started last
@@ -417,7 +417,7 @@ def cmd_pemantle(config: dict, threads: int | None):
 # ---------------------------------------------------------------------------
 # mogulskii experiments
 
-def cmd_mogulskii(config: dict):
+def cmd_mogulskii(config: dict, threads: int | None):
     cor = config["corridor"]
     spec = mogulskii.CorridorSpec.from_functions(
         _boundary_from_config(cor["g1"]), _boundary_from_config(cor["g2"]), cor["sigma"])
@@ -429,16 +429,15 @@ def cmd_mogulskii(config: dict):
     else:
         if "law" not in config:
             raise ValueError("spine family needs a 'law' entry in the config")
-        law = law_from_config(config["law"])
-        vlaw = transform.make_vlaw(law, solve_tstar(law))
-        arr = mogulskii.ArraySpec.from_spine(spine.make_spine(vlaw),
+        arr = mogulskii.ArraySpec.from_spine(spine.make_spine(_certified(config)),
                                              condition_nu=fam.get("condition_nu", True))
     endpoint_b = config.get("endpoint_b") or None   # false and missing alike
     if endpoint_b is True:
         endpoint_b = mogulskii.default_endpoint_b(spec)
-    rows = mogulskii.triangular_experiment(arr, spec, config["n_list"],
+    rows = mogulskii.triangular_experiment(arr, spec, [int(n) for n in config["n_list"]],
                                            endpoint_b=endpoint_b,
-                                           mc_replicates=config.get("mc_replicates", 1_000_000),
+                                           mc_replicates=int(config.get("mc_replicates",
+                                                                        1_000_000)),
                                            seed=config["seed"])
     header = ["n", "a_n", "prob", "scaled_log_prob", "target_constant", "gap"]
     if endpoint_b is not None:
@@ -454,6 +453,11 @@ def cmd_mogulskii(config: dict):
 
 # ---------------------------------------------------------------------------
 # entry point
+
+# command -> cmd(config, threads) -> (header, rows, footer comments)
+_COMMANDS = {"analyze": cmd_analyze, "survival": cmd_survival, "pemantle": cmd_pemantle,
+             "mogulskii": cmd_mogulskii}
+
 
 def _load_config(path: str, command: str, overrides: dict) -> dict:
     def reject(name: str):
@@ -488,7 +492,7 @@ def _budget_alarm(signum, frame):
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="kbrw",
                                      description="killed branching random walk laboratory")
-    parser.add_argument("command", choices=["analyze", "survival", "pemantle", "mogulskii"])
+    parser.add_argument("command", choices=list(_COMMANDS))
     parser.add_argument("--config", required=True, help="JSON experiment config")
     parser.add_argument("--seed", type=int, default=None, help="overrides config seed")
     parser.add_argument("--threads", type=int, default=None,
@@ -522,14 +526,7 @@ def main(argv: list[str] | None = None) -> int:
             if budget is not None:
                 # setitimer cannot take 1e300 s; a budget of 30 years never fires anyway
                 signal.setitimer(signal.ITIMER_REAL, min(budget, 1e9))
-            if args.command == "analyze":
-                return cmd_analyze(config, args.out)
-            if args.command == "survival":
-                header, rows, footers = cmd_survival(config, args.threads)
-            elif args.command == "pemantle":
-                header, rows, footers = cmd_pemantle(config, args.threads)
-            else:
-                header, rows, footers = cmd_mogulskii(config)
+            header, rows, footers = _COMMANDS[args.command](config, args.threads)
         finally:
             if budget is not None:
                 signal.setitimer(signal.ITIMER_REAL, 0)
@@ -548,7 +545,9 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if budget is not None:
             signal.signal(signal.SIGALRM, previous)
-    write_csv(args.out, args.command, config, header, rows, footers)
+    # analyze prints its quantities and writes a CSV only on request
+    if args.command != "analyze" or args.out is not None:
+        write_csv(args.out, args.command, config, header, rows, footers)
     return EXIT_OK
 
 

@@ -18,7 +18,9 @@ cumulant and validation, is that table merged over brood sizes; neither
 carries an atom of weight 0.
 
 Probability vectors are accepted with up to 1e-12 of decimal round-off and
-renormalized exactly at construction.  Laws are immutable and hashable, so
+renormalized exactly at construction, which also drops every atom, child
+count or outcome of probability 0: it can never be drawn, and no table
+derived from the law carries it.  Laws are immutable and hashable, so
 derived sampling tables are cached per law.
 """
 
@@ -40,13 +42,15 @@ LATTICE_TOL = 1e-9
 BOUNDARY_TOL = 1e-9
 
 
-def _normalize_probs(probs, what: str) -> tuple[float, ...]:
+def _normalized(items, what: str) -> tuple:
+    """``(item, prob)`` pairs renormalized to sum to 1, without the pairs of probability 0."""
+    probs = [p for _, p in items]
     total = math.fsum(probs)
     if any(p < 0 for p in probs):
         raise LawValidationError(f"{what}: negative probability")
-    if abs(total - 1.0) > PROB_TOL:
+    if not abs(total - 1.0) <= PROB_TOL:     # a NaN fails too
         raise LawValidationError(f"{what}: probabilities sum to {total!r}, not 1 within {PROB_TOL}")
-    return tuple(p / total for p in probs)
+    return tuple((x, q) for x, q in ((x, p / total) for x, p in items) if q > 0)
 
 
 @dataclass(frozen=True)
@@ -56,11 +60,10 @@ class DiscreteFinite:
     atoms: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        atoms = tuple((float(v), float(p)) for v, p in self.atoms)
+        atoms = _normalized([(float(v), float(p)) for v, p in self.atoms], "DiscreteFinite")
         if len({v for v, _ in atoms}) < 2:
-            raise LawValidationError("DiscreteFinite: needs >= 2 distinct atoms (deterministic steps make the cumulant function affine)")
-        probs = _normalize_probs([p for _, p in atoms], "DiscreteFinite")
-        object.__setattr__(self, "atoms", tuple((v, q) for (v, _), q in zip(atoms, probs)))
+            raise LawValidationError("DiscreteFinite: needs >= 2 distinct atoms of positive probability (deterministic steps make the cumulant function affine)")
+        object.__setattr__(self, "atoms", atoms)
 
     @property
     def values(self) -> np.ndarray:
@@ -110,8 +113,7 @@ class ProductLaw:
         pmf = tuple((int(k), float(p)) for k, p in self.offspring_pmf)
         if len({k for k, _ in pmf}) != len(pmf):
             raise LawValidationError("ProductLaw: duplicate child-count atoms")
-        probs = _normalize_probs([p for _, p in pmf], "ProductLaw offspring_pmf")
-        object.__setattr__(self, "offspring_pmf", tuple((k, q) for (k, _), q in zip(pmf, probs)))
+        object.__setattr__(self, "offspring_pmf", _normalized(pmf, "ProductLaw offspring_pmf"))
 
 
 @dataclass(frozen=True)
@@ -121,9 +123,8 @@ class ExplicitFinite:
     outcomes: tuple[tuple[tuple[float, ...], float], ...]
 
     def __post_init__(self):
-        outs = tuple((tuple(float(d) for d in ds), float(p)) for ds, p in self.outcomes)
-        probs = _normalize_probs([p for _, p in outs], "ExplicitFinite")
-        object.__setattr__(self, "outcomes", tuple((ds, q) for (ds, _), q in zip(outs, probs)))
+        outs = [(tuple(float(d) for d in ds), float(p)) for ds, p in self.outcomes]
+        object.__setattr__(self, "outcomes", _normalized(outs, "ExplicitFinite"))
 
 
 OffspringLaw = BinaryBernoulli | ProductLaw | ExplicitFinite

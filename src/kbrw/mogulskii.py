@@ -198,11 +198,10 @@ class ArraySpec:
     @classmethod
     def lattice(cls, atoms) -> "ArraySpec":
         step = DiscreteFinite(tuple(atoms))
-        keep = step.probs > 0       # an atom of probability 0 is no step
-        values = np.rint(step.values[keep])
-        if np.any(np.abs(step.values[keep] - values) > LATTICE_TOL):
+        values = np.rint(step.values)
+        if np.any(np.abs(step.values - values) > LATTICE_TOL):
             raise ValueError("lattice family needs integer step values")
-        return cls((values, np.zeros(values.size, dtype=np.int64), step.probs[keep]), (0.0, 1.0))
+        return cls((values, np.zeros(values.size, dtype=np.int64), step.probs), (0.0, 1.0))
 
     @classmethod
     def lazy_walk(cls) -> "ArraySpec":

@@ -1,11 +1,11 @@
 """Exact dynamic programming on integer-lattice laws.
 
 Ground truth for everything the Monte Carlo engine estimates: the
-probability that some lineage of length n stays above a linear kill line,
-and the probability that a single random walk stays inside an integer
-corridor.  Both recursions carry probabilities, not their complements, so
-their error is relative until the values underflow below about 1e-308,
-where they return 0:
+probability that some lineage of length n stays above a linear kill line
+U(x_i) >= u_line * i, in the original coordinate, and the probability that
+a single random walk stays inside an integer corridor.  Both recursions
+carry probabilities, not their complements, so their error is relative
+until the values underflow below about 1e-308, where they return 0:
 
 - the path DP recurses on survival probabilities R, not on extinction
   probabilities Q, so values far below one ulp of 1 keep their digits
@@ -29,18 +29,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .analysis import CriticalProfile
 from .errors import GridExhausted, LatticeError
 from .models import BOUNDARY_TOL, OffspringLaw
 
 
 @dataclass(frozen=True)
 class LatticeLaw:
-    """Integer-displacement view of an offspring law, without atoms of probability 0.
+    """Integer-displacement view of an offspring law.
 
     Every law carries its offspring pgf.  Product-structured laws add the
     integer step pmf; explicit laws keep their atomic outcomes, since
-    displacements within one brood are then dependent.
+    displacements within one brood are then dependent.  Laws hold no atom
+    of probability 0, so no step value or outcome here has one.
     """
 
     pgf_coeffs: tuple[float, ...]
@@ -52,16 +52,15 @@ class LatticeLaw:
     def from_law(cls, law: OffspringLaw) -> "LatticeLaw":
         if not models.is_lattice(law):
             raise LatticeError("exact DP requires finite integer displacements")
-        pmf = {k: p for k, p in models.offspring_pmf(law) if p > 0}
+        pmf = dict(models.offspring_pmf(law))
         coeffs = [pmf.get(k, 0.0) for k in range(max(pmf) + 1)]
         step = models.step_law(law)
         if step is None:
-            outs = tuple((tuple(int(round(d)) for d in ds), p) for ds, p in law.outcomes if p > 0)
+            outs = tuple((tuple(int(round(d)) for d in ds), p) for ds, p in law.outcomes)
             values = tuple(sorted({d for ds, _ in outs for d in ds}))
             return cls(tuple(coeffs), values, None, outs)
-        keep = step.probs > 0
-        values = tuple(int(round(v)) for v in step.values[keep])
-        return cls(tuple(coeffs), values, tuple(step.probs[keep]), None)
+        values = tuple(int(round(v)) for v in step.values)
+        return cls(tuple(coeffs), values, tuple(step.probs), None)
 
     @property
     def u_min(self) -> int:
@@ -79,14 +78,12 @@ def _lower_bounds(c: float, n: int) -> np.ndarray:
     return np.ceil(c * i - BOUNDARY_TOL).astype(np.int64)
 
 
-def exact_path_survival(ll: LatticeLaw, n: int, *, v_slope: float | None = None,
-                        u_line: float | None = None,
-                        profile: CriticalProfile | None = None) -> float:
+def exact_path_survival(ll: LatticeLaw, n: int, u_line: float) -> float:
     """P{some lineage of length n satisfies the kill constraint at every level}.
 
-    The constraint is U(x_i) >= u_line * i for all 1 <= i <= n; a centered
-    barrier ``V <= v_slope * i`` is translated through the profile via
-    u_line = (psi(t*) - v_slope)/t*.  Backward recursion over survival
+    The constraint is U(x_i) >= u_line * i for all 1 <= i <= n, in the
+    original coordinate; ``simulate.BarrierSpec.u_line`` gives the line of
+    a barrier in either coordinate.  Backward recursion over survival
     probabilities R: a particle at level j with sum s survives iff some
     child is above the kill line and survives, giving
     R_j(s) = H(E_Y[R_{j+1}(s+Y)]) with H(x) = 1 - G_Z(1 - x) =
@@ -94,14 +91,7 @@ def exact_path_survival(ll: LatticeLaw, n: int, *, v_slope: float | None = None,
     sum_b p_b (1 - prod_{d in b} (1 - R_{j+1}(s+d))) over broods b for
     explicit laws.  Killed children read 0.
     """
-    if (v_slope is None) == (u_line is None):
-        raise ValueError("pass exactly one of v_slope / u_line")
-    if v_slope is not None:
-        if profile is None:
-            raise ValueError("a centered-coordinate slope needs the critical profile")
-        c = (profile.psi_tstar - v_slope) / profile.t_star
-    else:
-        c = float(u_line)
+    c = float(u_line)
     if n <= 0:
         return 1.0
 
@@ -292,11 +282,11 @@ def exact_corridor_walk(step_values, step_probs, lower, upper,
     return prob, float(dist[elo - lo: ehi - lo + 1].sum())
 
 
-def rho_limit(ll: LatticeLaw, profile: CriticalProfile, v_slope: float,
-              rel_tol: float = 0.01, n_start: int = 128,
+def rho_limit(ll: LatticeLaw, u_line: float, rel_tol: float = 0.01, n_start: int = 128,
               n_max: int = 1 << 20) -> tuple[float, int]:
     """Depth-n survival iterated to its large-n limit.
 
+    The kill line is U(x_i) >= u_line * i, as in ``exact_path_survival``.
     Doubles n until the relative change across one doubling falls below
     ``rel_tol`` (the finite-n proxy for the infinite-ray probability);
     returns (value, n at which the rule triggered).  Each doubling reruns
@@ -305,10 +295,10 @@ def rho_limit(ll: LatticeLaw, profile: CriticalProfile, v_slope: float,
     depths before the last.
     """
     n = n_start
-    prev = exact_path_survival(ll, n, v_slope=v_slope, profile=profile)
+    prev = exact_path_survival(ll, n, u_line)
     while n < n_max:
         n *= 2
-        cur = exact_path_survival(ll, n, v_slope=v_slope, profile=profile)
+        cur = exact_path_survival(ll, n, u_line)
         if cur > 0.0 and abs(cur - prev) / cur < rel_tol:
             return cur, n
         prev = cur

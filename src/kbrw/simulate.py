@@ -29,7 +29,7 @@ from .analysis import CriticalProfile
 from .errors import GridExhausted
 from .models import BOUNDARY_TOL
 from .stats import replicate_groups, wilson_interval
-from .transform import VLaw, barrier_map
+from .transform import VLaw
 
 # replicates that share one stream; fixed, because it decides which stream a
 # replicate reads
@@ -47,6 +47,10 @@ class BarrierSpec:
 
     coordinate "V": kill when V(x_j) >  slope * j   (slope = b >= 0)
     coordinate "U": kill when U(x_j) < (gamma - slope) * j   (slope = eps >= 0)
+
+    The one place where the two coordinates meet: with V = -t* U + psi(t*),
+    a U line of deficit eps is the V line of slope b = t* eps, and a V line
+    of slope b keeps U(x_j) >= ((psi(t*) - b) / t*) j.
     """
 
     coordinate: str
@@ -59,9 +63,14 @@ class BarrierSpec:
             raise ValueError("slope must be >= 0")
 
     def v_slope(self, profile: CriticalProfile) -> float:
+        """The slope b of the line in the centered coordinate V."""
         if self.coordinate == "V":
             return self.slope
-        return barrier_map(self.slope, profile)
+        return profile.t_star * self.slope
+
+    def u_line(self, profile: CriticalProfile) -> float:
+        """The slope c of the line in the original coordinate: keep when U(x_j) >= c j."""
+        return (profile.psi_tstar - self.v_slope(profile)) / profile.t_star
 
 
 @dataclass(frozen=True)

@@ -87,16 +87,4 @@ def _exp_moment(law: OffspringLaw, t_star: float, psi_tstar: float, a: float) ->
     return models.mean_exp_sum(law, -a * t_star) * math.exp(a * psi_tstar)
 
 
-def barrier_map(eps_U: float, profile: CriticalProfile) -> float:
-    """Slope change under the coordinate transformation.
-
-    A kill line of slope deficit eps in the original coordinates (keep when
-    U >= (gamma - eps) j) becomes the line of slope t* eps in the centered
-    coordinates (keep when V <= t* eps j).
-    """
-    if eps_U < 0:
-        raise ValueError("eps_U must be >= 0")
-    return profile.t_star * eps_U
-
-
-__all__ = ["VLaw", "make_vlaw", "barrier_map", "IDENTITY_TOL"]
+__all__ = ["VLaw", "make_vlaw", "IDENTITY_TOL"]

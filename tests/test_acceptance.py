@@ -19,7 +19,8 @@ from kbrw.mogulskii import (ArraySpec, CorridorSpec, brownian_corridor_mc,
                             corridor_constant, ito_mckean_f,
                             triangular_experiment)
 from kbrw.oracle import LatticeLaw, exact_path_survival, rho_limit
-from kbrw.simulate import GwEmbedParams, estimate_M_kappa, estimate_rho, simulate_G
+from kbrw.simulate import (BarrierSpec, GwEmbedParams, estimate_M_kappa, estimate_rho,
+                           simulate_G)
 from kbrw.spine import functional, make_spine, many_to_one_check
 from kbrw.transform import make_vlaw
 
@@ -106,7 +107,7 @@ def test_criterion_05_oracle_mc_agreement(p03):
         for j, n in enumerate((6, 10, 12)):
             est = estimate_rho(vlaw, slope, n, reps, escape_cap=math.inf,
                                seed=51000 + 10 * i + j)
-            exact = exact_path_survival(ll, n, v_slope=slope, profile=profile)
+            exact = exact_path_survival(ll, n, BarrierSpec("V", slope).u_line(profile))
             gap = abs(est.p_hat - exact) / proportion_stderr(exact, reps)
             if gap > 3.0:
                 failures.append((slope, n, gap))
@@ -123,7 +124,8 @@ def test_criterion_06_decay_constant_regression(p03):
     eps_grid = (0.05, 0.04, 0.03, 0.02)
     xs, ys = [], []
     for eps in eps_grid:
-        rho, n_used = rho_limit(ll, profile, eps, rel_tol=0.01, n_start=128)
+        rho, n_used = rho_limit(ll, BarrierSpec("V", eps).u_line(profile), rel_tol=0.01,
+                                n_start=128)
         xs.append(eps ** -0.5)
         ys.append(math.log(rho))
     slope = regression_slope(xs, ys)
@@ -146,7 +148,7 @@ def test_criterion_07_lemma46_direction():
     ll = LatticeLaw.from_law(law)
     vals = []
     for n in (250, 500, 1000, 2000):
-        r = exact_path_survival(ll, n, v_slope=n ** (-2.0 / 3.0), profile=prof)
+        r = exact_path_survival(ll, n, BarrierSpec("V", n ** (-2.0 / 3.0)).u_line(prof))
         vals.append(math.log(r) / n ** (1.0 / 3.0))
     increasing = all(a < b for a, b in zip(vals, vals[1:]))
     above_floor = vals[-1] > 1.5 * (-prof.beta_V)
@@ -168,7 +170,7 @@ def test_criterion_08_embedded_gw_lower_bound(p03):
     counts = simulate_G(vlaw, params, reps, seed=81)
     p_nonempty = float((counts > 0).mean())
     ll = LatticeLaw.from_law(law)
-    rho = exact_path_survival(ll, n, v_slope=alpha * eps, profile=profile)
+    rho = exact_path_survival(ll, n, BarrierSpec("V", alpha * eps).u_line(profile))
     slack = 3.0 * proportion_stderr(max(p_nonempty, 1.0 / reps), reps)
     ok = p_nonempty >= 0.5 * rho - slack
     _report(8, ok,

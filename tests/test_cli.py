@@ -291,10 +291,11 @@ def _binary_step_law(atoms):
 @pytest.mark.filterwarnings("error")
 def test_zero_probability_atom_does_not_make_a_step_random(tmp_path, capsys):
     # a deterministic step with a decoy atom of probability 0 is still
-    # deterministic: rejected at validation, before the cumulant takes log 0
+    # deterministic: the step law drops the decoy and rejects what is left,
+    # before the cumulant takes log 0
     cfg = _write(tmp_path, "za.json", {"law": _binary_step_law([[0, 1.0], [1, 0.0]])})
     assert main(["analyze", "--config", cfg]) == EXIT_VALIDATION
-    assert "strict-convexity" in capsys.readouterr().err
+    assert "needs >= 2 distinct atoms of positive probability" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("error")
@@ -574,6 +575,16 @@ def test_mogulskii_lattice_family_drops_zero_probability_atoms(tmp_path):
     assert data[0] == data[1] == data[2]
 
 
+def test_mogulskii_lattice_family_rejects_a_walk_that_never_moves(tmp_path, capsys):
+    # without its atom of probability 0 the walk never moves, so it would
+    # stay in the corridor and report prob 1 against a negative constant
+    config = {**_mog_config(), "n_list": [1000],
+              "family": {"type": "lattice", "atoms": [[0, 1.0], [1, 0.0]]}}
+    assert main(["mogulskii", "--config", _write(tmp_path, "still.json", config)]) \
+        == EXIT_VALIDATION
+    assert "needs >= 2 distinct atoms of positive probability" in capsys.readouterr().err
+
+
 def test_mogulskii_lattice_family_needs_atoms(tmp_path):
     config = _mog_config()
     config["family"] = {"type": "lattice"}
@@ -739,7 +750,14 @@ def test_overflowing_number_is_a_bad_config(tmp_path, capsys, number):
      {"n": [4.0, 8.0]}),
     ("pemantle", {"law": {"type": "binary_bernoulli", "p": 0.3}, "eps_grid": [0.05],
                   "n_start": 64, "n_max": 1024}, {"n_start": 64.0, "n_max": 1024.0}),
-], ids=["survival-replicates", "survival-n", "pemantle-n_start"])
+    # a Gaussian spine has no lattice frame, so its corridor is sampled
+    ("mogulskii", {**_mog_config(), "n_list": [10], "mc_replicates": 1000000,
+                   "family": {"type": "spine"},
+                   "law": {"type": "product", "offspring_pmf": [[1, 0.5], [3, 0.5]],
+                           "step": {"type": "gaussian", "mean": 0.0, "stddev": 1.0}},
+                   "corridor": {**_mog_config()["corridor"], "sigma": 1.1774100225154747}},
+     {"n_list": [10.0], "mc_replicates": 1000000.0}),
+], ids=["survival-replicates", "survival-n", "pemantle-n_start", "mogulskii-n_list"])
 def test_integral_float_counts_run_as_ints(tmp_path, command, config, floats):
     # JSON Schema counts 1000.0 as an integer, so the commands must too
     data = []

@@ -25,11 +25,11 @@ from kbrw.models import (BinaryBernoulli, DiscreteFinite, ExplicitFinite, Gaussi
 from kbrw.mogulskii import (ArraySpec, CorridorSpec, brownian_corridor_mc,
                             corridor_constant, triangular_experiment)
 from kbrw.oracle import LatticeLaw, exact_path_survival, rho_limit
-from kbrw.simulate import (GwEmbedParams, escape_cap_sweep, estimate_M_kappa, estimate_rho,
-                           simulate_G)
+from kbrw.simulate import (BarrierSpec, GwEmbedParams, escape_cap_sweep, estimate_M_kappa,
+                           estimate_rho, simulate_G)
 from kbrw.spine import (expected_leaf_sum_exact, functional, make_spine,
                         spine_many_to_one_rhs, tree_many_to_one_lhs)
-from kbrw.transform import barrier_map, make_vlaw
+from kbrw.transform import make_vlaw
 
 MIXED = ProductLaw(((0, 0.2), (1, 0.3), (2, 0.3), (3, 0.2)),
                    DiscreteFinite(((0.0, 0.5), (1.0, 0.5))))
@@ -306,7 +306,7 @@ def test_unreachable_kill_line_is_exactly_zero():
 def test_rho_limit_on_pemantle_grid():
     law = BinaryBernoulli(0.3)
     ll, profile = LatticeLaw.from_law(law), solve_tstar(law)
-    got = [rho_limit(ll, profile, barrier_map(e, profile))
+    got = [rho_limit(ll, BarrierSpec("U", e).u_line(profile))
            for e in (0.02, 0.01, 0.005, 0.003)]
     # within 1.5e-15 relative of the untrimmed recursion in 80-bit long double
     assert got == [(0.00013489462653990106, 1024), (2.883698150168405e-06, 4096),

@@ -70,6 +70,26 @@ def test_probability_renormalization():
         ProductLaw(((2, 0.5), (3, 0.6)), DiscreteFinite(((0.0, 0.5), (1.0, 0.5))))
     with pytest.raises(LawValidationError):
         ExplicitFinite((((0.0,), -0.1), ((1.0,), 1.1)))
+    # a NaN probability sums to NaN, which is not 1 either
+    for make in (lambda q: DiscreteFinite(((0.0, q), (1.0, 0.5))),
+                 lambda q: ProductLaw(((2, q), (3, 0.5)), DiscreteFinite(((0.0, 0.5), (1.0, 0.5)))),
+                 lambda q: ExplicitFinite((((0.0,), q), ((1.0,), 0.5)))):
+        assert make(0.5)
+        with pytest.raises(LawValidationError, match="sum to nan"):
+            make(math.nan)
+
+
+def test_zero_probability_items_dropped_at_construction():
+    step = DiscreteFinite(((0.0, 0.5), (5.0, 0.0), (1.0, 0.5)))
+    assert step.atoms == ((0.0, 0.5), (1.0, 0.5))
+    assert ProductLaw(((0, 0.0), (2, 1.0)), step).offspring_pmf == ((2, 1.0),)
+    assert ExplicitFinite((((7.0,), 0.0), ((0.0, 1.0), 1.0))).outcomes == (((0.0, 1.0), 1.0),)
+    # distinct atoms are counted among those of positive probability
+    with pytest.raises(LawValidationError, match="positive probability"):
+        DiscreteFinite(((0.0, 1.0), (1.0, 0.0)))
+    # a duplicate child count is refused even when one copy has probability 0
+    with pytest.raises(LawValidationError, match="duplicate"):
+        ProductLaw(((2, 1.0), (2, 0.0)), step)
 
 
 def test_displacement_lln():

@@ -16,7 +16,7 @@ from kbrw.analysis import solve_tstar
 from kbrw.errors import LatticeError
 from kbrw.models import BinaryBernoulli, DiscreteFinite, ExplicitFinite, ProductLaw
 from kbrw.oracle import LatticeLaw, exact_corridor_walk, exact_path_survival, rho_limit
-from kbrw.transform import barrier_map
+from kbrw.simulate import BarrierSpec
 
 
 def _recursive_survival_binary(p, c, n):
@@ -70,14 +70,14 @@ def test_survival_one_generation(law_p03, profile_p03):
     for c in (0.1, 0.5, 1.0):
         assert exact_path_survival(ll, 1, u_line=c) == pytest.approx(0.51, abs=1e-15)
     # via the centered coordinate with slope 0
-    assert exact_path_survival(ll, 1, v_slope=0.0, profile=profile_p03) == \
+    assert exact_path_survival(ll, 1, BarrierSpec("V", 0.0).u_line(profile_p03)) == \
         pytest.approx(0.51, abs=1e-15)
 
 
 def test_survival_depth_zero_is_certain(law_p03, profile_p03):
     ll = LatticeLaw.from_law(law_p03)
     assert exact_path_survival(ll, 0, u_line=0.5) == 1.0
-    assert exact_path_survival(ll, 0, v_slope=0.1, profile=profile_p03) == 1.0
+    assert exact_path_survival(ll, 0, BarrierSpec("V", 0.1).u_line(profile_p03)) == 1.0
 
 
 def test_survival_two_generations_hand_formula(law_p03):
@@ -107,7 +107,7 @@ def test_dp_equals_recursion_depth_12(law_p03, profile_p03):
     ll = LatticeLaw.from_law(law_p03)
     for slope in (0.05, 0.1, 0.2, 0.4):
         c = (profile_p03.psi_tstar - slope) / profile_p03.t_star
-        dp = exact_path_survival(ll, 12, v_slope=slope, profile=profile_p03)
+        dp = exact_path_survival(ll, 12, BarrierSpec("V", slope).u_line(profile_p03))
         rec = _recursive_survival_binary(0.3, c, 12)
         assert dp == pytest.approx(rec, abs=1e-13)
 
@@ -128,16 +128,16 @@ def test_dp_explicit_law(law_explicit):
     p = exact_path_survival(ll, 1, u_line=0.5)
     # survive iff the brood contains a child with u >= 1: outcomes (0,1), (1,2)
     assert p == pytest.approx(0.5, abs=1e-15)
-    p2 = exact_path_survival(ll, 4, v_slope=0.1, profile=prof)
+    p2 = exact_path_survival(ll, 4, BarrierSpec("V", 0.1).u_line(prof))
     assert 0.0 < p2 < 1.0
 
 
 def test_monotonicity_exact(law_p03, profile_p03):
     ll = LatticeLaw.from_law(law_p03)
-    vals_n = [exact_path_survival(ll, n, v_slope=0.1, profile=profile_p03)
+    vals_n = [exact_path_survival(ll, n, BarrierSpec("V", 0.1).u_line(profile_p03))
               for n in (2, 4, 6, 8, 10, 12)]
     assert all(b <= a for a, b in zip(vals_n, vals_n[1:]))
-    vals_s = [exact_path_survival(ll, 10, v_slope=s, profile=profile_p03)
+    vals_s = [exact_path_survival(ll, 10, BarrierSpec("V", s).u_line(profile_p03))
               for s in (0.02, 0.05, 0.1, 0.2, 0.4)]
     assert all(b >= a for a, b in zip(vals_s, vals_s[1:]))
 
@@ -373,7 +373,7 @@ def test_dp_negative_steps(law_p03):
     ll = LatticeLaw.from_law(law)
     for slope in (0.05, 0.2, 0.6):
         c = (prof.psi_tstar - slope) / prof.t_star
-        dp = exact_path_survival(ll, 9, v_slope=slope, profile=prof)
+        dp = exact_path_survival(ll, 9, BarrierSpec("V", slope).u_line(prof))
         rec = _recursive_survival_generic(pmf, steps, c, 9)
         assert dp == pytest.approx(rec, abs=1e-13)
     # and against the Monte Carlo engine
@@ -382,17 +382,18 @@ def test_dp_negative_steps(law_p03):
     from conftest import proportion_stderr
     from kbrw.transform import make_vlaw
     vlaw = make_vlaw(law, prof)
-    exact = exact_path_survival(ll, 8, v_slope=0.15, profile=prof)
+    exact = exact_path_survival(ll, 8, BarrierSpec("V", 0.15).u_line(prof))
     est = estimate_rho(vlaw, 0.15, 8, 30_000, escape_cap=_m.inf, seed=314)
     assert abs(est.p_hat - exact) <= 3.0 * proportion_stderr(exact, 30_000)
 
 
 def test_rho_limit_stabilizes(law_p03, profile_p03):
     ll = LatticeLaw.from_law(law_p03)
-    rho, n_used = rho_limit(ll, profile_p03, 0.1, rel_tol=0.02, n_start=64)
+    rho, n_used = rho_limit(ll, BarrierSpec("V", 0.1).u_line(profile_p03), rel_tol=0.02,
+                            n_start=64)
     assert 0.0 < rho < 1.0
     assert n_used >= 128
-    tighter = exact_path_survival(ll, 2 * n_used, v_slope=0.1, profile=profile_p03)
+    tighter = exact_path_survival(ll, 2 * n_used, BarrierSpec("V", 0.1).u_line(profile_p03))
     assert abs(tighter - rho) / rho < 0.05
 
 
@@ -402,7 +403,7 @@ def test_lemma46_direction_and_floor(law_mixed_offspring):
     ll = LatticeLaw.from_law(law_mixed_offspring)
     vals = []
     for n in (250, 500, 1000, 2000):
-        r = exact_path_survival(ll, n, v_slope=n ** (-2 / 3), profile=prof)
+        r = exact_path_survival(ll, n, BarrierSpec("V", n ** (-2 / 3)).u_line(prof))
         vals.append(math.log(r) / n ** (1 / 3))
     assert all(a < b for a, b in zip(vals, vals[1:]))
     bound = -prof.beta_V
@@ -522,10 +523,9 @@ def test_trimmed_window_matches_untrimmed(law_p03, profile_p03):
     # the deepest row of the pemantle bench grid, cut to n = 4096: the full
     # window reaches 567 states, the trimmed one at most 15
     ll = LatticeLaw.from_law(law_p03)
-    v = barrier_map(0.003, profile_p03)
-    c = (profile_p03.psi_tstar - v) / profile_p03.t_star
+    c = BarrierSpec("U", 0.003).u_line(profile_p03)
     ref = _float_survival_untrimmed(ll, c, 4096)
-    got = exact_path_survival(ll, 4096, v_slope=v, profile=profile_p03)
+    got = exact_path_survival(ll, 4096, c)
     assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
     # and its exact value, which a rewrite of the level must keep
     assert got == 9.911838188456576e-11

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import proportion_stderr, sample_broods
 from kbrw import simulate, spine, stats
 from kbrw.analysis import solve_tstar
 from kbrw.errors import GridExhausted
-from kbrw.models import ExplicitFinite, Gaussian, ProductLaw
+from kbrw.models import BinaryBernoulli, ExplicitFinite, Gaussian, ProductLaw
 from kbrw.oracle import LatticeLaw, exact_path_survival
 from kbrw.rng import replicate_stream
 from kbrw.simulate import (BarrierSpec, GwEmbedParams, escape_cap_sweep,
@@ -24,6 +26,35 @@ def test_barrier_spec_validation(profile_p03):
     b = BarrierSpec("U", 0.05)
     assert b.v_slope(profile_p03) == pytest.approx(0.05 * profile_p03.t_star)
     assert BarrierSpec("V", 0.1).v_slope(profile_p03) == 0.1
+
+
+def test_barrier_spec_maps_u_to_v(profile_p0, profile_p03):
+    t_star_p0 = math.log(7.0 + 4.0 * math.sqrt(3.0))
+    assert BarrierSpec("U", 0.0).v_slope(profile_p03) == 0.0
+    assert BarrierSpec("U", 0.01).v_slope(profile_p0) == \
+        pytest.approx(0.01 * t_star_p0, rel=1e-12)
+    assert BarrierSpec("U", 0.01).v_slope(profile_p0) == \
+        pytest.approx(0.026339157938496337, rel=1e-12)
+    with pytest.raises(ValueError):
+        BarrierSpec("U", -0.1)
+
+
+@given(st.floats(min_value=0.0, max_value=10.0))
+@settings(max_examples=50, deadline=None)
+def test_barrier_spec_round_trip(eps):
+    prof = solve_tstar(BinaryBernoulli(0.3))
+    assert BarrierSpec("U", eps).v_slope(prof) / prof.t_star == \
+        pytest.approx(eps, rel=1e-15, abs=1e-300)
+
+
+def test_barrier_spec_u_line_on_the_pemantle_grid(profile_p03):
+    # the shipped eps_U grid and the benchmark's, down to 0.003, bit for bit:
+    # the pinned pemantle rho values depend on this very rounding
+    p = profile_p03
+    for e in (0.05, 0.04, 0.03, 0.02, 0.01, 0.005, 0.003):
+        assert BarrierSpec("U", e).u_line(p) == (p.psi_tstar - p.t_star * e) / p.t_star
+    # a V line of slope b keeps U >= (psi - b) / t*
+    assert BarrierSpec("V", 0.1).u_line(p) == (p.psi_tstar - 0.1) / p.t_star
 
 
 def test_one_generation_exact(vlaw_p03):
@@ -209,7 +240,7 @@ def test_mc_matches_oracle(law_p03, vlaw_p03, profile_p03):
     reps = 30_000
     for slope, n in ((0.1, 6), (0.2, 10)):
         est = estimate_rho(vlaw_p03, slope, n, reps, escape_cap=math.inf, seed=70 + n)
-        exact = exact_path_survival(ll, n, v_slope=slope, profile=profile_p03)
+        exact = exact_path_survival(ll, n, BarrierSpec("V", slope).u_line(profile_p03))
         assert abs(est.p_hat - exact) <= 3.0 * proportion_stderr(exact, reps)
 
 
@@ -382,7 +413,7 @@ def test_lemma_lower_bound_direction(law_p03, vlaw_p03, profile_p03):
     counts = simulate_G(vlaw_p03, params, reps, seed=16)
     p_nonempty = float((counts > 0).mean())
     ll = LatticeLaw.from_law(law_p03)
-    rho = exact_path_survival(ll, n, v_slope=alpha * eps, profile=profile_p03)
+    rho = exact_path_survival(ll, n, BarrierSpec("V", alpha * eps).u_line(profile_p03))
     assert p_nonempty >= 0.5 * rho - 3.0 * proportion_stderr(max(p_nonempty, 1e-9), reps)
     # direction of the small-count bound: conditioned on non-emptiness the
     # counts concentrate away from tiny values (the bulk sits well above 2)

@@ -2,15 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from kbrw.analysis import CriticalProfile, solve_tstar
 from kbrw.errors import CertificationError
 from kbrw.models import intensity_atoms
-from kbrw.transform import barrier_map, make_vlaw
-
-T_STAR_P0 = math.log(7.0 + 4.0 * math.sqrt(3.0))
+from kbrw.simulate import BarrierSpec
+from kbrw.transform import make_vlaw
 
 
 def test_identities_binary(law_p03, profile_p03):
@@ -55,27 +52,10 @@ def test_inconsistent_profile_rejected(law_p03, profile_p03):
         make_vlaw(law_p03, bad)
 
 
-def test_barrier_map(profile_p0, profile_p03):
-    assert barrier_map(0.0, profile_p03) == 0.0
-    assert barrier_map(0.01, profile_p0) == pytest.approx(0.01 * T_STAR_P0, rel=1e-12)
-    assert barrier_map(0.01, profile_p0) == pytest.approx(0.026339157938496337, rel=1e-12)
-    with pytest.raises(ValueError):
-        barrier_map(-0.1, profile_p03)
-
-
-@given(st.floats(min_value=0.0, max_value=10.0))
-@settings(max_examples=50, deadline=None)
-def test_barrier_map_round_trip(eps):
-    from kbrw.analysis import solve_tstar
-    from kbrw.models import BinaryBernoulli
-    prof = solve_tstar(BinaryBernoulli(0.3))
-    assert barrier_map(eps, prof) / prof.t_star == pytest.approx(eps, rel=1e-15, abs=1e-300)
-
-
 def test_beta_reconciliation(profile_p03):
     # the two decay statements predict identical exponents for mapped slopes
     eps_u = 0.04
-    eps_v = barrier_map(eps_u, profile_p03)
+    eps_v = BarrierSpec("U", eps_u).v_slope(profile_p03)
     lhs = profile_p03.beta_U / math.sqrt(eps_u)
     rhs = profile_p03.beta_V / math.sqrt(eps_v)
     assert lhs == pytest.approx(rhs, rel=1e-12)
