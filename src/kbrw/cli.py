@@ -343,7 +343,8 @@ def cmd_analyze(config: dict, threads: int | None):
 # ---------------------------------------------------------------------------
 # survival
 
-def _survival_row(vlaw: transform.VLaw, config: dict, task: tuple) -> list:
+def _survival_row(vlaw: transform.VLaw, ll: oracle.LatticeLaw | None, config: dict,
+                  task: tuple) -> list:
     """The CSV row, in header order, of one (method, slope, n, row_seed) task."""
     method, slope, n, row_seed = task
     coordinate = config.get("coordinate", "V")
@@ -356,7 +357,6 @@ def _survival_row(vlaw: transform.VLaw, config: dict, task: tuple) -> list:
                                     seed=row_seed)
         fields = [est.p_hat, est.ci_low, est.ci_high, est.replicates, row_seed, est.cap_hits]
     else:
-        ll = oracle.LatticeLaw.from_law(vlaw.base)
         p = oracle.exact_path_survival(ll, n, barrier.u_line(vlaw.profile))
         fields = [p, p, p, 0, row_seed, 0]
     runtime_ms = (time.perf_counter() - started) * 1e3 if config.get("record_runtime") else 0.0
@@ -365,15 +365,15 @@ def _survival_row(vlaw: transform.VLaw, config: dict, task: tuple) -> list:
 
 def cmd_survival(config: dict, threads: int | None):
     vlaw = _certified(config)
-    methods = ["mc"]
-    if models.is_lattice(vlaw.base):
-        methods.append("oracle")
-    else:
+    try:
+        ll, methods = oracle.LatticeLaw.from_law(vlaw.base), ["mc", "oracle"]
+    except LatticeError:
+        ll, methods = None, ["mc"]
         print("warning: non-lattice law, oracle rows omitted", file=sys.stderr)
     grid = [(method, slope, int(n)) for slope in config["slopes"] for n in config["n"]
             for method in methods]
     tasks = [(*g, derive_seed(config["seed"], idx)) for idx, g in enumerate(grid)]
-    rows = _run_rows(tasks, functools.partial(_survival_row, vlaw, config), threads)
+    rows = _run_rows(tasks, functools.partial(_survival_row, vlaw, ll, config), threads)
     rows.sort(key=lambda r: (r[0], r[2], r[3]))     # method, slope, n
     header = ["method", "coordinate", "slope", "n", "estimate", "ci_low", "ci_high",
               "replicates", "seed", "cap_hits", "runtime_ms"]
@@ -431,6 +431,11 @@ def cmd_mogulskii(config: dict, threads: int | None):
             raise ValueError("spine family needs a 'law' entry in the config")
         arr = mogulskii.ArraySpec.from_spine(spine.make_spine(_certified(config)),
                                              condition_nu=fam.get("condition_nu", True))
+    # the corridor constant scales with sigma, so sigma must be the walk's own
+    var = mogulskii.ArraySpec(arr.atoms, noise=arr.noise).witnesses_at(1)["var"]
+    if abs(cor["sigma"] ** 2 - var) > 1e-6 * var:
+        raise ValueError(f"corridor.sigma = {cor['sigma']!r} is not the walk's "
+                         f"sigma {math.sqrt(var)!r}")
     endpoint_b = config.get("endpoint_b") or None   # false and missing alike
     if endpoint_b is True:
         endpoint_b = mogulskii.default_endpoint_b(spec)

@@ -208,12 +208,12 @@ def _killed(vlaw: VLaw, v_slope: float, n: int, escape_cap: float, seed: int,
     return _run(_roots(seed, replicates), n, step)
 
 
-def estimate_rho(vlaw: VLaw, barrier: BarrierSpec | float, n: int, replicates: int,
+def estimate_rho(vlaw: VLaw, barrier: BarrierSpec, n: int, replicates: int,
                  escape_cap: float = 10_000, seed: int = 0) -> SurvivalEstimate:
     """Wilson-intervalled survival frequency over independent replicates.
 
-    ``barrier`` is either a BarrierSpec or a bare slope in the centered
-    coordinates.  Deterministic for a fixed seed whatever the execution
+    Particles are killed above ``barrier``'s line in the centered
+    coordinate V.  Deterministic for a fixed seed whatever the execution
     order.  The escape rule declares a replicate surviving once its
     population reaches escape_cap and stops it there (a cap hit).  The
     induced bias is one-sided: survival is overestimated by at most the
@@ -223,23 +223,23 @@ def estimate_rho(vlaw: VLaw, barrier: BarrierSpec | float, n: int, replicates: i
     return escape_cap_sweep(vlaw, barrier, n, replicates, (escape_cap,), seed)[0]
 
 
-def escape_cap_sweep(vlaw: VLaw, barrier: BarrierSpec | float, n: int,
+def escape_cap_sweep(vlaw: VLaw, barrier: BarrierSpec, n: int,
                      replicates: int, caps, seed: int = 0) -> list[SurvivalEstimate]:
     """Sensitivity of the survival estimate to the escape cap.
 
-    One set of runs under the largest cap is read at every cap c: a
-    replicate survives under c if it is alive at depth n or its peak
-    population is >= c, and it is a cap hit if its peak is >= c.  The runs
-    are therefore coupled pathwise and the estimates are exactly
-    non-increasing in the cap.  A flat tail across caps certifies the
-    default cap is large enough.
+    Kills on ``barrier`` as ``estimate_rho`` does.  One set of runs under
+    the largest cap is read at every cap c: a replicate survives under c if
+    it is alive at depth n or its peak population is >= c, and it is a cap
+    hit if its peak is >= c.  The runs are therefore coupled pathwise and
+    the estimates are exactly non-increasing in the cap.  A flat tail
+    across caps certifies the default cap is large enough.
     """
     caps = list(caps)
     if not all(c >= 1 for c in caps):
         raise ValueError("escape_cap must be >= 1 (may be math.inf)")
     if replicates < 100:
         raise ValueError("need at least 100 replicates")
-    b = barrier.v_slope(vlaw.profile) if isinstance(barrier, BarrierSpec) else float(barrier)
+    b = barrier.v_slope(vlaw.profile)
     alive = np.zeros(replicates, dtype=bool)
     peak = np.empty(replicates, dtype=np.int64)
     for first, _, _, (owner, _) in _killed(vlaw, b, n, max(caps), seed, replicates, peak):

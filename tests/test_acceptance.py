@@ -105,7 +105,7 @@ def test_criterion_05_oracle_mc_agreement(p03):
     failures = []
     for i, slope in enumerate((0.05, 0.1, 0.2)):
         for j, n in enumerate((6, 10, 12)):
-            est = estimate_rho(vlaw, slope, n, reps, escape_cap=math.inf,
+            est = estimate_rho(vlaw, BarrierSpec("V", slope), n, reps, escape_cap=math.inf,
                                seed=51000 + 10 * i + j)
             exact = exact_path_survival(ll, n, BarrierSpec("V", slope).u_line(profile))
             gap = abs(est.p_hat - exact) / proportion_stderr(exact, reps)

@@ -508,14 +508,17 @@ def test_mogulskii_pinched_corridor_rejected(tmp_path):
     assert main(["mogulskii", "--config", cfg]) == EXIT_VALIDATION
 
 
-def test_mogulskii_conditioning_removing_all_mass_rejected(tmp_path):
-    # every brood has 4 children and r_n(2) = 3
+def test_mogulskii_conditioning_removing_all_mass_rejected(tmp_path, capsys):
+    # every brood has 4 children and r_n(2) = 3; sigma is the spine walk's,
+    # so the sigma check passes and the conditioning is what fails
     config = _mog_config()
     config.update(law={"type": "explicit",
                        "outcomes": [[[0, 1, 1, 2], 0.5], [[0, 0, 1, 1], 0.5]]},
                   family={"type": "spine"}, n_list=[2])
+    config["corridor"]["sigma"] = 1.1888933360934952
     cfg = _write(tmp_path, "mc.json", config)
     assert main(["mogulskii", "--config", cfg]) == EXIT_VALIDATION
+    assert "removes all mass at n=2" in capsys.readouterr().err
 
 
 def test_mogulskii_samples_boundary_and_lattice_family(tmp_path):
@@ -568,6 +571,7 @@ def test_mogulskii_lattice_family_drops_zero_probability_atoms(tmp_path):
     for name, extra in (("plain", []), ("half", [[0.5, 0.0]]), ("five", [[5, 0.0]])):
         config = {**_mog_config(), "n_list": [1000, 4000],
                   "family": {"type": "lattice", "atoms": [[-1, 0.5], [1, 0.5]] + extra}}
+        config["corridor"]["sigma"] = 1.0
         out = tmp_path / f"{name}.csv"
         assert main(["mogulskii", "--config", _write(tmp_path, f"{name}.json", config),
                      "--out", str(out)]) == EXIT_OK
@@ -583,6 +587,24 @@ def test_mogulskii_lattice_family_rejects_a_walk_that_never_moves(tmp_path, caps
     assert main(["mogulskii", "--config", _write(tmp_path, "still.json", config)]) \
         == EXIT_VALIDATION
     assert "needs >= 2 distinct atoms of positive probability" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, walk_sigma", [
+    ({}, "0.81649658"),
+    ({"law": {"type": "binary_bernoulli", "p": 0.3}, "family": {"type": "spine"}},
+     "0.92426812"),
+], ids=["lazy", "binary-spine"])
+def test_mogulskii_rejects_a_sigma_that_is_not_the_walks(tmp_path, capsys, extra, walk_sigma):
+    # the corridor constant scales with sigma^2: sigma 2.0 would give the lazy
+    # walk target_constant -4.93 where its own sigma gives -0.822
+    config = {**_mog_config(), "n_list": [1000], **extra}
+    config["corridor"]["sigma"] = 2.0
+    out = tmp_path / "ws.csv"
+    assert main(["mogulskii", "--config", _write(tmp_path, "ws.json", config),
+                 "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "corridor.sigma = 2.0" in err and f"sigma {walk_sigma}" in err
+    assert not out.exists()
 
 
 def test_mogulskii_lattice_family_needs_atoms(tmp_path):

@@ -218,7 +218,7 @@ def test_population_routines():
     assert estimate_M_kappa(vb, j_max=6, replicates=200, seed=7) == (2.3371509353037863, 1.0)
     params = GwEmbedParams(n=12, eps=0.43, alpha=0.5, L=10, M=0.2)
     assert int(simulate_G(vb, params, 1000, seed=8).sum()) == 120
-    sweep = escape_cap_sweep(vb, 0.1, 10, 400, [2, 8, 64, math.inf], seed=9)
+    sweep = escape_cap_sweep(vb, BarrierSpec("V", 0.1), 10, 400, [2, 8, 64, math.inf], seed=9)
     assert [e.p_hat for e in sweep] == [0.15, 0.035, 0.035, 0.035]
 
 
@@ -256,7 +256,7 @@ def test_gaussian_broods():
 
 def test_gaussian_survival_and_spine_routes():
     vg = _vlaw(GAUSS_MIXED)
-    est = estimate_rho(vg, 0.1, 6, 500, seed=5)
+    est = estimate_rho(vg, BarrierSpec("V", 0.1), 6, 500, seed=5)
     assert (est.survivors, est.ci_low, est.ci_high, est.cap_hits) == \
         (4, 0.00311531518006224, 0.020387035834105168, 0)
     # two child counts, so every level also draws the count

@@ -383,7 +383,7 @@ def test_dp_negative_steps(law_p03):
     from kbrw.transform import make_vlaw
     vlaw = make_vlaw(law, prof)
     exact = exact_path_survival(ll, 8, BarrierSpec("V", 0.15).u_line(prof))
-    est = estimate_rho(vlaw, 0.15, 8, 30_000, escape_cap=_m.inf, seed=314)
+    est = estimate_rho(vlaw, BarrierSpec("V", 0.15), 8, 30_000, escape_cap=_m.inf, seed=314)
     assert abs(est.p_hat - exact) <= 3.0 * proportion_stderr(exact, 30_000)
 
 

@@ -60,30 +60,39 @@ def test_barrier_spec_u_line_on_the_pemantle_grid(profile_p03):
 def test_one_generation_exact(vlaw_p03):
     # slope 0, n=1: survive iff some child took the u=1 step; 1-(1-p)^2 = 0.51
     reps = 40_000
-    est = estimate_rho(vlaw_p03, 0.0, 1, reps, escape_cap=math.inf, seed=99)
+    est = estimate_rho(vlaw_p03, BarrierSpec("V", 0.0), 1, reps, escape_cap=math.inf, seed=99)
     assert abs(est.p_hat - 0.51) <= 3.0 * proportion_stderr(0.51, reps)
 
 
 def test_no_barrier_certain_survival(vlaw_p03):
-    est = estimate_rho(vlaw_p03, 1e6, 10, 200, escape_cap=10_000, seed=5)
+    est = estimate_rho(vlaw_p03, BarrierSpec("V", 1e6), 10, 200, escape_cap=10_000, seed=5)
     assert est.p_hat == 1.0
     assert est.survivors == 200
 
 
 def test_escape_cap_truncation(vlaw_p03):
     # a huge slope with a tiny cap: every replicate escapes immediately
-    est = estimate_rho(vlaw_p03, 1e6, 30, 150, escape_cap=4, seed=6)
+    est = estimate_rho(vlaw_p03, BarrierSpec("V", 1e6), 30, 150, escape_cap=4, seed=6)
     assert est.p_hat == 1.0
     assert est.cap_hits == 150
     # cap 1: the root alone reaches it, so every replicate is a cap hit
-    est = estimate_rho(vlaw_p03, 1e6, 30, 150, escape_cap=1, seed=6)
+    est = estimate_rho(vlaw_p03, BarrierSpec("V", 1e6), 30, 150, escape_cap=1, seed=6)
     assert est.p_hat == 1.0
     assert est.cap_hits == 150
 
 
 def test_replicate_floor(vlaw_p03):
     with pytest.raises(ValueError):
-        estimate_rho(vlaw_p03, 0.1, 5, 99, seed=1)
+        estimate_rho(vlaw_p03, BarrierSpec("V", 0.1), 5, 99, seed=1)
+
+
+@pytest.mark.parametrize("slope", [0.1, math.nan, -0.5])
+def test_bare_slope_is_not_a_barrier(vlaw_p03, slope):
+    # the line must come through BarrierSpec, whose check refuses NaN and -0.5
+    with pytest.raises(AttributeError):
+        estimate_rho(vlaw_p03, slope, 6, 1_000, seed=1)
+    with pytest.raises(AttributeError):
+        escape_cap_sweep(vlaw_p03, slope, 6, 1_000, (4, math.inf), seed=1)
 
 
 def test_gaussian_law_one_generation_closed_form(law_gaussian):
@@ -99,15 +108,15 @@ def test_gaussian_law_one_generation_closed_form(law_gaussian):
     q = 0.5 * (1.0 + math.erf((prof.psi_tstar - b) / prof.t_star / math.sqrt(2.0)))
     exact = 0.5 * (1.0 - q) + 0.5 * (1.0 - q ** 3)
     reps = 40_000
-    est = estimate_rho(vlaw, b, 1, reps, escape_cap=math.inf, seed=612)
+    est = estimate_rho(vlaw, BarrierSpec("V", b), 1, reps, escape_cap=math.inf, seed=612)
     assert abs(est.p_hat - exact) <= 3.0 * proportion_stderr(exact, reps)
 
 
 def test_escape_cap_sweep_exactly_monotone(vlaw_p03):
     # shared streams couple the runs: survival indicators are pointwise
     # non-increasing in the cap, so the estimates are too (no noise term)
-    ests = escape_cap_sweep(vlaw_p03, 0.3, 14, 3_000, caps=(4, 16, 64, 256, math.inf),
-                            seed=55)
+    ests = escape_cap_sweep(vlaw_p03, BarrierSpec("V", 0.3), 14, 3_000,
+                            caps=(4, 16, 64, 256, math.inf), seed=55)
     phats = [e.p_hat for e in ests]
     assert all(a >= b for a, b in zip(phats, phats[1:]))
     assert ests[-1].cap_hits == 0
@@ -116,14 +125,15 @@ def test_escape_cap_sweep_exactly_monotone(vlaw_p03):
 
 
 def test_escape_cap_sweep_reads_one_run(vlaw_p03):
-    sweep = escape_cap_sweep(vlaw_p03, 0.3, 14, 500, caps=(1, 4, 16, math.inf), seed=56)
-    assert sweep[-1] == estimate_rho(vlaw_p03, 0.3, 14, 500, escape_cap=math.inf, seed=56)
+    line = BarrierSpec("V", 0.3)
+    sweep = escape_cap_sweep(vlaw_p03, line, 14, 500, caps=(1, 4, 16, math.inf), seed=56)
+    assert sweep[-1] == estimate_rho(vlaw_p03, line, 14, 500, escape_cap=math.inf, seed=56)
     assert sweep[0].p_hat == 1.0
     assert sweep[0].cap_hits == 500
 
 
 _FIRST_CHUNK_RUNS = {
-    "estimate_rho": lambda v, reps: estimate_rho(v, 0.3, 10, reps, seed=3),
+    "estimate_rho": lambda v, reps: estimate_rho(v, BarrierSpec("V", 0.3), 10, reps, seed=3),
     "estimate_M_kappa": lambda v, reps: estimate_M_kappa(v, j_max=6, replicates=reps, seed=4),
     "simulate_G": lambda v, reps: simulate_G(
         v, GwEmbedParams(n=8, eps=0.6, alpha=0.5, L=6, M=0.2), reps, seed=5),
@@ -177,7 +187,7 @@ def _population_outputs(vlaw):
             in simulate._killed(vlaw, 1.0, 12, 50, 3, 700, peak)]
     return {
         "killed": (peak, *map(np.concatenate, zip(*last))),
-        "sweep": escape_cap_sweep(vlaw, 1.0, 12, 700, (2, 50, math.inf), seed=3),
+        "sweep": escape_cap_sweep(vlaw, BarrierSpec("V", 1.0), 12, 700, (2, 50, math.inf), seed=3),
         "M_kappa": estimate_M_kappa(vlaw, j_max=7, replicates=900, seed=4),
         "G": simulate_G(vlaw, GwEmbedParams(n=9, eps=3.0, alpha=0.5, L=6, M=0.2), 1000,
                         seed=6, strict=False),
@@ -222,15 +232,15 @@ def test_population_guard(monkeypatch, vlaw_p03):
 
 
 def test_determinism_bitwise(vlaw_p03):
-    a = estimate_rho(vlaw_p03, 0.1, 8, 500, escape_cap=1000, seed=42)
-    b = estimate_rho(vlaw_p03, 0.1, 8, 500, escape_cap=1000, seed=42)
-    c = estimate_rho(vlaw_p03, 0.1, 8, 500, escape_cap=1000, seed=43)
+    a = estimate_rho(vlaw_p03, BarrierSpec("V", 0.1), 8, 500, escape_cap=1000, seed=42)
+    b = estimate_rho(vlaw_p03, BarrierSpec("V", 0.1), 8, 500, escape_cap=1000, seed=42)
+    c = estimate_rho(vlaw_p03, BarrierSpec("V", 0.1), 8, 500, escape_cap=1000, seed=43)
     assert a == b
     assert a != c
 
 
 def test_wilson_interval_contains_estimate(vlaw_p03):
-    est = estimate_rho(vlaw_p03, 0.05, 10, 2_000, seed=3)
+    est = estimate_rho(vlaw_p03, BarrierSpec("V", 0.05), 10, 2_000, seed=3)
     assert est.ci_low <= est.p_hat <= est.ci_high
     assert est.survivors <= est.replicates
 
@@ -239,17 +249,20 @@ def test_mc_matches_oracle(law_p03, vlaw_p03, profile_p03):
     ll = LatticeLaw.from_law(law_p03)
     reps = 30_000
     for slope, n in ((0.1, 6), (0.2, 10)):
-        est = estimate_rho(vlaw_p03, slope, n, reps, escape_cap=math.inf, seed=70 + n)
+        est = estimate_rho(vlaw_p03, BarrierSpec("V", slope), n, reps, escape_cap=math.inf,
+                           seed=70 + n)
         exact = exact_path_survival(ll, n, BarrierSpec("V", slope).u_line(profile_p03))
         assert abs(est.p_hat - exact) <= 3.0 * proportion_stderr(exact, reps)
 
 
 def test_monotonicity_within_noise(vlaw_p03):
     reps = 20_000
-    by_n = [estimate_rho(vlaw_p03, 0.1, n, reps, seed=80 + n).p_hat for n in (4, 8, 12)]
+    by_n = [estimate_rho(vlaw_p03, BarrierSpec("V", 0.1), n, reps, seed=80 + n).p_hat
+            for n in (4, 8, 12)]
     for a, b in zip(by_n, by_n[1:]):
         assert b <= a + 3.0 * proportion_stderr(max(a, 1e-9), reps)
-    by_slope = [estimate_rho(vlaw_p03, s, 8, reps, seed=90).p_hat for s in (0.05, 0.1, 0.2)]
+    by_slope = [estimate_rho(vlaw_p03, BarrierSpec("V", s), 8, reps, seed=90).p_hat
+                for s in (0.05, 0.1, 0.2)]
     for a, b in zip(by_slope, by_slope[1:]):
         assert b >= a - 3.0 * proportion_stderr(max(b, 1e-9), reps)
 
