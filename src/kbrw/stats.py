@@ -35,10 +35,12 @@ def replicate_chunks(seed: int, replicates: int, chunk: int):
 
     Chunk c covers replicates ``first .. first + k - 1`` (k <= ``chunk``)
     and draws from ``replicate_stream(seed, c)``, so the chunk size decides
-    which stream a replicate reads.
+    which stream a replicate reads.  A count below 1 is refused at the call.
     """
-    for c, first in enumerate(range(0, replicates, chunk)):
-        yield first, min(chunk, replicates - first), replicate_stream(seed, c)
+    if replicates < 1:
+        raise ValueError(f"need at least 1 replicate, got {replicates}")
+    return ((first, min(chunk, replicates - first), replicate_stream(seed, c))
+            for c, first in enumerate(range(0, replicates, chunk)))
 
 
 def replicate_groups(seed: int, replicates: int, chunk: int, group: int):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from functools import lru_cache
 from itertools import product
 from pathlib import Path
@@ -101,6 +102,29 @@ def test_vacuous_barrier_equals_gw_survival(law_p03, law_mixed_offspring):
         assert exact_path_survival(llb, n, u_line=-1e300) == \
             exact_path_survival(llb, n, u_line=-1.0)
         assert exact_path_survival(llb, n, u_line=1e300) == 0.0
+        assert exact_path_survival(llb, n, u_line=-math.inf) == \
+            exact_path_survival(llb, n, u_line=-1.0)
+        assert exact_path_survival(llb, n, u_line=math.inf) == 0.0
+
+
+def test_path_survival_refuses_a_nan_line(law_p03):
+    # a NaN line has no integer bound to compute
+    with pytest.raises(ValueError, match="u_line"):
+        exact_path_survival(LatticeLaw.from_law(law_p03), 10, math.nan)
+
+
+def test_path_survival_refuses_a_negative_depth(law_p03, profile_p03):
+    with pytest.raises(ValueError, match="n must"):
+        exact_path_survival(LatticeLaw.from_law(law_p03), -3,
+                            BarrierSpec("U", 0.02).u_line(profile_p03))
+
+
+@pytest.mark.parametrize("n_start", [0, -5])
+def test_rho_limit_refuses_a_start_below_one(law_p03, profile_p03, n_start):
+    # doubling from 0 or below never leaves depth <= 0, whose survival reads 1
+    with pytest.raises(ValueError, match="n_start"):
+        rho_limit(LatticeLaw.from_law(law_p03), BarrierSpec("U", 0.02).u_line(profile_p03),
+                  n_start=n_start)
 
 
 def test_dp_equals_recursion_depth_12(law_p03, profile_p03):
@@ -529,6 +553,32 @@ def test_trimmed_window_matches_untrimmed(law_p03, profile_p03):
     assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
     # and its exact value, which a rewrite of the level must keep
     assert got == 9.911838188456576e-11
+
+
+def test_path_survival_memory_does_not_grow_with_depth(law_p03, profile_p03):
+    # the pass keeps only its window of at most 15 states, a few kB; bounds
+    # held for every level would take about 64 bytes each, 256 kB here
+    ll = LatticeLaw.from_law(law_p03)
+    c = BarrierSpec("U", 0.003).u_line(profile_p03)
+    tracemalloc.start()
+    try:
+        exact_path_survival(ll, 4096, c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 10
+
+
+def test_line_that_outruns_every_lineage_reads_zero(law_p03):
+    # a line 2e-12 above u_max = 1: c*j - 1e-9 stays below j up to level
+    # 500, so all-u_max lineages survive there; from level 501 on no
+    # lineage can follow the line
+    ll = LatticeLaw.from_law(law_p03)
+    c = ll.u_max + 2e-12
+    got = exact_path_survival(ll, 400, c)
+    assert got == pytest.approx(float(_mp_survival(ll, c, 400)), rel=1e-12, abs=0.0)
+    assert got == 1.289713190640973e-89
+    assert exact_path_survival(ll, 600, c) == 0.0
 
 
 # exact values of exact_path_survival at u_line -0.5, 0.4, 0.95 (rows) and
