@@ -17,9 +17,10 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
     Preferred over the Wald interval here because the survival
     probabilities of interest sit close to zero, where Wald collapses.
+    A count of trials below 1 is refused.
     """
-    if trials <= 0:
-        return 0.0, 1.0
+    if trials < 1:
+        raise ValueError(f"need at least 1 trial, got {trials}")
     p = successes / trials
     z = Z95
     denom = 1.0 + z * z / trials

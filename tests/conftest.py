@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from kbrw import models
+from kbrw import models, mogulskii
 from kbrw.analysis import solve_tstar
 from kbrw.models import (BinaryBernoulli, DiscreteFinite, ExplicitFinite,
                          Gaussian, ProductLaw, brood_sampler)
 from kbrw.spine import functional, make_spine
+from kbrw.stats import chunked_mean
 from kbrw.transform import make_vlaw
 
 P0 = 0.0669872981077807  # root of 16 p (1 - p) = 1 in (0, 1/2)
@@ -64,6 +65,43 @@ def enumerated_leaf_sum(vlaw, n: int, func) -> float:
         weights = np.repeat(weights, a) * np.tile(w, weights.size)
         ok = func.admit(np.repeat(ok, a), i, s, np.tile(nu, ok.size))
     return float(np.dot(weights, np.exp(-s) * func.weight(ok, s)))
+
+
+def full_product_corridor_mc(a: float, b: float, c: float, d: float,
+                             paths: int, steps: int, seed: int) -> tuple[float, float]:
+    """The bridge-corrected strip estimate with the factor computed on every
+    path at every step: the reference for ``brownian_corridor_mc``, which
+    must return the same (mean, se) bit for bit."""
+    dt = 1.0 / steps
+    sdt = math.sqrt(dt)
+
+    def draw(rng, k):
+        x, x1 = np.zeros(k), np.empty(k)
+        g0 = np.maximum(np.stack((b - x, x - a)), 0.0)
+        g1, e, p = (np.empty((2, k)) for _ in range(3))
+        near = np.empty((2, k), dtype=bool)
+        w = np.ones(k)
+        for _ in range(steps):
+            rng.standard_normal(out=x1)
+            x1 *= sdt
+            x1 += x
+            np.subtract(b, x1, out=g1[0])
+            np.subtract(x1, a, out=g1[1])
+            np.maximum(g1, 0.0, out=g1)
+            np.multiply(-2.0, g0, out=e)
+            e *= g1
+            e /= dt
+            np.greater(e, -40.0, out=near)
+            p.fill(0.0)
+            np.exp(e, out=p, where=near)
+            np.subtract(1.0, p, out=p)
+            p[0] *= p[1]
+            w *= p[0]
+            x, x1, g0, g1 = x1, x, g1, g0
+        w *= (c <= x) & (x <= d)
+        return w
+
+    return chunked_mean(seed, paths, mogulskii._BM_CHUNK, draw)
 
 
 def default_library(profile_sigma: float = 1.0):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import full_product_corridor_mc
 from kbrw.analysis import solve_tstar
 from kbrw.models import BinaryBernoulli, DiscreteFinite, ProductLaw
 from kbrw.mogulskii import (ArraySpec, CorridorSpec, brownian_corridor_mc,
@@ -103,6 +104,35 @@ def test_mc_oracle_deterministic():
     a = brownian_corridor_mc(-1, 1, -1, 1, paths=10_000, steps=100, seed=5)
     b = brownian_corridor_mc(-1, 1, -1, 1, paths=10_000, steps=100, seed=5)
     assert a == b
+
+
+# the wide strip, an end window, an asymmetric strip, a narrow strip where a
+# few paths survive, one where every path dies (so each chunk stops early),
+# and one whose lower boundary is so close to 0 that the first step leaves
+# most weights at exactly 0 and the rest near 1e-16
+STRIPS = [(-1.0, 1.0, -1.0, 1.0), (-1.0, 1.0, -0.3, 0.5), (-0.5, 2.0, -0.5, 2.0),
+          (-0.5, 0.5, -0.5, 0.5), (-0.05, 0.05, -0.05, 0.05), (-1e-17, 1.0, -1e-17, 1.0)]
+
+
+# 23,456 paths leave a partial second chunk
+@pytest.mark.parametrize("steps, paths", [(40, 23_456), (500, 5_000), (2_000, 1_500)])
+@pytest.mark.parametrize("strip", STRIPS)
+def test_mc_oracle_matches_the_full_product(strip, steps, paths):
+    assert brownian_corridor_mc(*strip, paths=paths, steps=steps, seed=11) == \
+        full_product_corridor_mc(*strip, paths=paths, steps=steps, seed=11)
+
+
+@pytest.mark.parametrize("strip, steps", [
+    ((-1.0, 1.0, 0.5, -0.5), 10),            # empty end window
+    ((0.2, 1.0, 0.3, 0.5), 10),              # the strip misses 0
+    ((-1.0, math.nan, -1.0, 1.0), 10),       # NaN boundary
+    ((-1.0, 1.0, -1.0, 1.0), 0),
+    ((-1.0, 1.0, -1.0, 1.0), -3),
+    ((-1.0, 1.0, -1.0, 1.0), 2.5),
+])
+def test_mc_oracle_refuses_bad_input(strip, steps):
+    with pytest.raises(ValueError, match="need"):
+        brownian_corridor_mc(*strip, paths=1_000, steps=steps)
 
 
 def test_lazy_walk_small_n_exact_enumeration():

@@ -24,7 +24,9 @@ def test_wilson_contains_point_estimate(successes, trials):
 
 
 def test_wilson_empty():
-    assert wilson_interval(0, 0) == (0.0, 1.0)
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trial"):
+            wilson_interval(0, trials)
 
 
 def test_wilson_never_degenerate_at_extremes():
