@@ -15,6 +15,11 @@ Every stochastic command requires a seed and is bit-reproducible from
 process pool and sorted before writing, so the thread count never changes
 the output.  A config's ``time_budget_s`` bounds the whole run: when it
 runs out the command stops, writes no CSV and exits 4.
+
+The CLI runs numpy's BLAS on one thread per process unless
+``OPENBLAS_NUM_THREADS`` is set: its parallelism is the process pool, and no
+kernel calls BLAS on arrays large enough to gain from threads, while starting
+OpenBLAS's threads cost each process about 65 ms on 2 CPUs.
 """
 
 from __future__ import annotations
@@ -28,6 +33,10 @@ import os
 import signal
 import sys
 import time
+
+# before numpy is first imported, which starts OpenBLAS's threads (see the
+# module docstring); a value the user exported still wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -507,6 +516,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--escape-cap", type=int, default=None,
                         help="overrides config escape_cap")
     args = parser.parse_args(argv)
+    if args.threads is not None and args.threads < 1:
+        print(f"--threads must be at least 1, not {args.threads}", file=sys.stderr)
+        return EXIT_VALIDATION
     if args.escape_cap is not None and args.command != "survival":
         print("--escape-cap applies only to survival", file=sys.stderr)
         return EXIT_VALIDATION

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import multiprocessing
@@ -17,6 +18,7 @@ from kbrw.models import BinaryBernoulli, ExplicitFinite, ProductLaw
 
 P0 = 0.0669872981077807
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = str(Path(cli.__file__).resolve().parent.parent)
 
 
 def _write(tmp_path, name, config):
@@ -127,6 +129,15 @@ def test_escape_cap_only_for_survival(command, config, capsys):
         == EXIT_VALIDATION
     out, err = capsys.readouterr()
     assert out == "" and "--escape-cap applies only to survival" in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_rejected(threads, capsys):
+    # such a count once ran the rows serially and exited 0
+    assert main(["survival", "--config", str(CONFIGS / "survival_binary.json"),
+                 "--threads", threads]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == "" and f"--threads must be at least 1, not {threads}" in err
 
 
 def test_fractional_child_count_rejected(tmp_path, capsys):
@@ -632,13 +643,49 @@ def test_mogulskii_spine_family(tmp_path):
 # the in-house config checker and the start-up cost it saves
 
 def test_cli_import_loads_neither_jsonschema_nor_multiprocessing():
-    src = str(Path(cli.__file__).resolve().parent.parent)
     code = ("import sys, kbrw.cli; "
             "print([m for m in ('jsonschema', 'multiprocessing') if m in sys.modules])")
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": SRC}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"
+
+
+def test_package_import_is_lazy():
+    code = ("import sys, kbrw; print(sorted(m for m in sys.modules "
+            "if m == 'numpy' or m.startswith(('numpy.', 'kbrw.'))))")
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
+    import kbrw
+    modules = [importlib.import_module(f"kbrw.{p.stem}")
+               for p in Path(SRC, "kbrw").glob("*.py") if p.stem != "__init__"]
+    for name in kbrw.__all__:
+        # the one object that every module defining or importing the name holds
+        held = {id(vars(m)[name]) for m in modules if name in vars(m)}
+        assert held == {id(getattr(kbrw, name))}, name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        kbrw.no_such_name
+    assert set(kbrw.__all__) <= set(dir(kbrw))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs Linux and at least 2 CPUs, where OpenBLAS would start "
+                           "a second thread")
+def test_cli_starts_blas_on_one_thread():
+    # kbrw.cli is the first import: numpy imported before it keeps its threads
+    code = ("import kbrw.cli, os; "
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task')))")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = SRC
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "1 1\n"
+    out = subprocess.run([sys.executable, "-c", code], env={**env, "OPENBLAS_NUM_THREADS": "2"},
+                         check=True, capture_output=True, text=True).stdout
+    assert out.split()[0] == "2"
 
 
 def _schema_keywords(schema):

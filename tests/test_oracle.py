@@ -364,11 +364,21 @@ def test_corridor_power_independent_of_blas_threads(tmp_path):
             "np.full(200000, 225), endpoint=(100, 225))))")
     assert _with_blas_threads(1, ["-c", code], tmp_path) == \
         _with_blas_threads(2, ["-c", code], tmp_path)
-    config = _SRC.parent / "configs" / "mogulskii_lazy.json"
-    for threads in (1, 2):
-        _with_blas_threads(threads, ["-m", "kbrw.cli", "mogulskii", "--config", str(config),
-                                     "--out", f"lazy{threads}.csv"], tmp_path)
-    assert (tmp_path / "lazy1.csv").read_bytes() == (tmp_path / "lazy2.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command, config", [
+    ("analyze", "analyze_binary.json"), ("survival", "survival_binary.json"),
+    ("pemantle", "pemantle_binary.json"), ("mogulskii", "mogulskii_lazy.json")])
+def test_shipped_csv_independent_of_blas_threads(tmp_path, command, config):
+    # the CLI runs BLAS on one thread unless the user exports another count,
+    # and a large np.dot sums in another order on more threads
+    config = _SRC.parent / "configs" / config
+    stdout = [_with_blas_threads(threads, ["-m", "kbrw.cli", command, "--config", str(config),
+                                           "--out", f"{command}{threads}.csv"], tmp_path)
+              for threads in (1, 2)]
+    assert stdout[0] == stdout[1]
+    assert (tmp_path / f"{command}1.csv").read_bytes() == \
+        (tmp_path / f"{command}2.csv").read_bytes()
 
 
 def _recursive_survival_generic(pmf, step_atoms, c, n):
