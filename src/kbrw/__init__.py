@@ -9,8 +9,8 @@ tilted-walk and small-deviation machinery.
 The package loads lazily (PEP 562): ``import kbrw`` imports neither numpy
 nor any submodule, and each public name imports its module on first use.
 So ``python -m kbrw.cli`` reaches ``kbrw.cli`` before numpy starts, and the
-CLI can run numpy's BLAS on one thread per process (its rows run in a
-process pool, and no kernel calls BLAS on large arrays) unless
+CLI can run numpy's BLAS on one thread per process (its rows run in
+processes it forks, and no kernel calls BLAS on large arrays) unless
 ``OPENBLAS_NUM_THREADS`` is set.  The package itself leaves BLAS threading
 to the caller.
 """

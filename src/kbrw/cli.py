@@ -11,13 +11,14 @@ Subcommands:
                     constant over an n-grid.
 
 Every stochastic command requires a seed and is bit-reproducible from
-(config, seed); ``survival`` and ``pemantle`` rows are dispatched to a
-process pool and sorted before writing, so the thread count never changes
-the output.  A config's ``time_budget_s`` bounds the whole run: when it
-runs out the command stops, writes no CSV and exits 4.
+(config, seed); ``survival`` and ``pemantle`` rows run in this process and
+in ``--threads`` - 1 helpers forked from it (``_run_rows``), and are sorted
+before writing, so the thread count never changes the output.  A config's
+``time_budget_s`` bounds the whole run: when it runs out the command stops,
+helpers included, writes no CSV and exits 4.
 
 The CLI runs numpy's BLAS on one thread per process unless
-``OPENBLAS_NUM_THREADS`` is set: its parallelism is the process pool, and no
+``OPENBLAS_NUM_THREADS`` is set: its parallelism is its forked helpers, and no
 kernel calls BLAS on arrays large enough to gain from threads, while starting
 OpenBLAS's threads cost each process about 65 ms on 2 CPUs.
 """
@@ -30,6 +31,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import signal
 import sys
 import time
@@ -40,7 +42,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import models, mogulskii, oracle, simulate, spine, transform
+from . import models, oracle, simulate, transform
 from .analysis import (aldous_rate, beta_bs_from_gamma_derivative,
                        gamma_bs_solve, solve_tstar)
 from .errors import (CertificationError, DomainTooNarrow, GridExhausted,
@@ -293,18 +295,89 @@ def write_csv(out_path: str | None, schema: str, config: dict, header: list[str]
             fh.write(text)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (the machine's count where the OS cannot say)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _claim(claims: tuple[int, int], stop: int | None = None) -> int:
+    """Take the next unclaimed task index from the pipe ``claims`` and put
+    back the one after it, or ``stop``.  The pipe holds one 8-byte index, and
+    a process that reads it holds it alone until it writes, so claims come
+    in task order with no bound on the number of tasks."""
+    i = int.from_bytes(os.read(claims[0], 8), "little")
+    os.write(claims[1], (i + 1 if stop is None else stop).to_bytes(8, "little"))
+    return i
+
+
+def _claimed_rows(tasks, worker, claims: tuple[int, int]):
+    """The ``(index, row)`` pairs of the tasks this process claims, and the
+    ``(index, exception)`` of a row that raised, or None.  A row's exception
+    ends all claiming: the tasks before it were claimed already and finish,
+    so the lowest failing index is the task a serial run would fail on."""
+    rows = []
+    while (i := _claim(claims)) < len(tasks):
+        try:
+            rows.append((i, worker(tasks[i])))
+        except Exception as exc:
+            _claim(claims, stop=len(tasks))
+            return rows, (i, exc)
+    return rows, None
+
+
 def _run_rows(tasks, worker, threads: int | None):
-    """worker(task) for every task, in order.  Leaving the pool's ``with``
-    block terminates its workers, so an exception here (such as the budget
-    alarm) does not wait for queued rows."""
-    if threads is None:
-        threads = os.cpu_count() or 1
-    workers = min(threads, len(tasks))
-    if workers <= 1:
+    """worker(task) for every task, in task order.
+
+    With ``threads`` above 1, this process runs rows itself beside
+    ``threads - 1`` forked helpers, and each process claims the next
+    unclaimed task (``_claim``).  Nothing is pickled on the way in: a helper
+    inherits the tasks and the worker.  It pickles its rows, or the
+    exception a row raised, into its own pipe and leaves by ``os._exit``; a
+    helper's exception is raised here as it was raised there.  The
+    ``finally`` kills and reaps every helper, so an exception here (such as
+    the budget alarm) does not wait for their rows and leaves no process.
+    """
+    workers = min(_usable_cpus() if threads is None else threads, len(tasks))
+    if workers <= 1 or not hasattr(os, "fork"):     # Windows cannot fork
         return [worker(t) for t in tasks]
-    import multiprocessing      # only a pool needs it, and it costs start-up time
-    with multiprocessing.Pool(workers) as pool:
-        return list(pool.imap(worker, tasks))
+    claims = os.pipe()
+    os.write(claims[1], bytes(8))      # task 0 is the first unclaimed
+    fds, helpers = list(claims), {}     # helpers: pid -> read end of its pipe
+    try:
+        for _ in range(workers - 1):
+            r, w = os.pipe()
+            fds.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:            # a helper never returns into the caller's code
+                    try:
+                        with open(w, "wb") as fh:
+                            pickle.dump(_claimed_rows(tasks, worker, claims), fh)
+                    finally:
+                        os._exit(0)
+            finally:
+                os.close(w)
+            helpers[pid] = r
+        parts = [_claimed_rows(tasks, worker, claims)]
+        for pid, r in helpers.items():
+            with open(r, "rb", closefd=False) as fh:
+                try:
+                    parts.append(pickle.load(fh))
+                except (EOFError, pickle.UnpicklingError):
+                    raise ChildProcessError(f"row helper {pid} ended without its rows") from None
+        errors = [error for _, error in parts if error is not None]
+        if errors:
+            raise min(errors, key=lambda e: e[0])[1]
+        rows = dict(pair for pairs, _ in parts for pair in pairs)
+        return [rows[i] for i in range(len(tasks))]
+    finally:
+        for pid in helpers:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
 
 
 def _certified(config: dict) -> transform.VLaw:
@@ -411,8 +484,8 @@ def cmd_pemantle(config: dict, threads: int | None):
     law = vlaw.base
     worker = functools.partial(_pemantle_row, oracle.LatticeLaw.from_law(law), vlaw.profile,
                                config.get("rel_tol", 0.01), n_start, n_max)
-    # n_used grows about as eps_U^(-3/2), so the deepest rows go first and
-    # the pool does not end on one long row started last
+    # n_used grows about as eps_U^(-3/2), so the deepest rows are claimed
+    # first and no process ends the run on one long row started last
     rows = _run_rows(sorted(config["eps_grid"]), worker, threads)
     rows.sort(key=lambda r: -r[0])
     header = ["eps_U", "eps_V", "n_used", "rho_oracle",
@@ -427,6 +500,7 @@ def cmd_pemantle(config: dict, threads: int | None):
 # mogulskii experiments
 
 def cmd_mogulskii(config: dict, threads: int | None):
+    from . import mogulskii, spine     # only this command runs them
     cor = config["corridor"]
     spec = mogulskii.CorridorSpec.from_functions(
         _boundary_from_config(cor["g1"]), _boundary_from_config(cor["g2"]), cor["sigma"])
@@ -495,8 +569,9 @@ def _load_config(path: str, command: str, overrides: dict) -> dict:
     return config
 
 
-class _BudgetExceeded(Exception):
-    """time_budget_s ran out."""
+class _BudgetExceeded(BaseException):
+    """time_budget_s ran out.  Like KeyboardInterrupt, it is no row error, so
+    no ``except Exception`` takes it for one."""
 
 
 def _budget_alarm(signum, frame):
@@ -510,8 +585,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="JSON experiment config")
     parser.add_argument("--seed", type=int, default=None, help="overrides config seed")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker processes for independent survival and pemantle "
-                             "rows (default: hardware parallelism)")
+                        help="processes that run survival and pemantle rows, this one "
+                             "included (default: the CPUs this process may use)")
     parser.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     parser.add_argument("--escape-cap", type=int, default=None,
                         help="overrides config escape_cap")

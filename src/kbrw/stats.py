@@ -72,11 +72,12 @@ def closed_cdf(probs) -> np.ndarray:
 def mean_stderr(parts, n: int) -> tuple[float, float]:
     """Mean and standard error of ``n`` values given as consecutive 1-D float
     arrays; only a running sum and sum of squares are kept, added part by
-    part in order."""
+    part in order.  The squares are summed by numpy, not by a BLAS dot
+    product, whose order of summation depends on its thread count."""
     total = total_sq = 0.0
     for w in parts:
         total += float(w.sum())
-        total_sq += float(np.dot(w, w))
+        total_sq += float((w * w).sum())
     mean = total / n
     var = max(total_sq / n - mean * mean, 0.0) * n / max(n - 1, 1)
     return mean, math.sqrt(var / n)

@@ -1,7 +1,6 @@
 import importlib
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -267,10 +266,14 @@ def test_survival_byte_identical_rerun(tmp_path):
 
 def test_survival_threads_do_not_change_output(tmp_path):
     cfg = _write(tmp_path, "s4.json", _survival_config())
-    out1, out2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
-    main(["survival", "--config", cfg, "--out", str(out1), "--threads", "1"])
-    main(["survival", "--config", cfg, "--out", str(out2), "--threads", "4"])
-    assert out1.read_bytes() == out2.read_bytes()
+    outs = set()
+    for threads in ("1", "2", "3", "4"):
+        out = tmp_path / f"t{threads}.csv"
+        assert main(["survival", "--config", cfg, "--out", str(out),
+                     "--threads", threads]) == EXIT_OK
+        _assert_no_children()
+        outs.add(out.read_bytes())
+    assert len(outs) == 1
 
 
 def test_survival_seed_flag_overrides(tmp_path):
@@ -355,10 +358,11 @@ def test_pemantle_rows_independent_of_grid_order(tmp_path):
     bodies = set()
     for grid in (config["eps_grid"], config["eps_grid"][::-1]):
         cfg = _write(tmp_path, "po.json", dict(config, eps_grid=grid))
-        for threads in ("1", "2"):
+        for threads in ("1", "2", "3"):
             out = tmp_path / f"po{threads}.csv"
             assert main(["pemantle", "--config", cfg, "--out", str(out),
                          "--threads", threads]) == EXIT_OK
+            _assert_no_children()
             bodies.add(out.read_bytes().split(b"\n", 1)[1])
     assert len(bodies) == 1
 
@@ -398,7 +402,7 @@ def test_survival_time_budget_exit_code(tmp_path):
 @pytest.mark.parametrize("threads", [["--threads", "1"], []])
 def test_survival_time_budget_stops_the_run(tmp_path, threads):
     # the shipped grid at 2,000,000 replicates takes several seconds; the
-    # alarm must stop it, the pool's workers included, and leave no CSV behind
+    # alarm must stop it, the forked helpers included, and leave no CSV behind
     from kbrw.cli import EXIT_BUDGET
     config = json.loads((CONFIGS / "survival_binary.json").read_text())
     config["replicates"] = 2_000_000
@@ -409,7 +413,7 @@ def test_survival_time_budget_stops_the_run(tmp_path, threads):
     assert main(["survival", "--config", cfg, "--out", str(out), *threads]) == EXIT_BUDGET
     assert time.perf_counter() - started < 5.0
     assert not out.exists()
-    assert multiprocessing.active_children() == []
+    _assert_no_children()
 
 
 def test_mogulskii_time_budget_exit_code(tmp_path):
@@ -640,11 +644,74 @@ def test_mogulskii_spine_family(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the row runner: this process and its forked helpers
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_rows_returns_every_task_in_order():
+    # more tasks than a pipe of 4-byte indices could hold (16,384); nothing
+    # is pickled on the way in, so the worker may be a lambda
+    tasks = list(range(20_000))
+    assert cli._run_rows(tasks, lambda t: -t, 2) == [-t for t in tasks]
+    _assert_no_children()
+
+
+def test_helper_that_dies_is_an_error():
+    # this process is slow, so the helper claims a task, and it dies there
+    parent = os.getpid()
+
+    def worker(t):
+        if os.getpid() != parent:
+            os._exit(3)
+        time.sleep(0.05)
+        return t
+    with pytest.raises(ChildProcessError, match="ended without its rows"):
+        cli._run_rows(list(range(20)), worker, 2)
+    _assert_no_children()
+
+
+def test_helper_row_error_as_at_one_thread(tmp_path, capsys, monkeypatch):
+    # the 0.003 row exhausts n_max; this process claims its first task only
+    # after half a second, so at --threads 2 the helper runs that row
+    from kbrw.cli import EXIT_BUDGET
+    cfg = _write(tmp_path, "pe.json", {"law": {"type": "binary_bernoulli", "p": 0.3},
+                                       "eps_grid": [0.05, 0.003], "n_max": 512})
+    parent, claimed_rows = os.getpid(), cli._claimed_rows
+
+    def late(*args):
+        if os.getpid() == parent:
+            time.sleep(0.5)
+        return claimed_rows(*args)
+    monkeypatch.setattr(cli, "_claimed_rows", late)
+    seen = []
+    for threads in ("1", "2"):
+        assert main(["pemantle", "--config", cfg, "--threads", threads]) == EXIT_BUDGET
+        _assert_no_children()
+        seen.append(capsys.readouterr())
+    assert seen[0] == seen[1]
+    assert seen[0].err == "grid exhausted: survival did not stabilize below n = 512\n"
+
+
+def test_default_threads_count_the_usable_cpus(tmp_path, monkeypatch):
+    # on one usable CPU every row runs in this process, so nothing forks
+    def fork():
+        raise AssertionError("forked a helper for one CPU")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "fork", fork)
+    cfg = _write(tmp_path, "s1.json", _survival_config())
+    assert main(["survival", "--config", cfg]) == EXIT_OK
+
+
+# ---------------------------------------------------------------------------
 # the in-house config checker and the start-up cost it saves
 
 def test_cli_import_loads_neither_jsonschema_nor_multiprocessing():
-    code = ("import sys, kbrw.cli; "
-            "print([m for m in ('jsonschema', 'multiprocessing') if m in sys.modules])")
+    # nor the modules that only the mogulskii command runs
+    code = ("import sys, kbrw.cli; print([m for m in ('jsonschema', 'multiprocessing', "
+            "'kbrw.mogulskii', 'kbrw.spine') if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": SRC}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout

@@ -202,9 +202,9 @@ def test_tree_route_functionals():
     expected = {
         MIXED: [(0.7112414292211193, 0.0918796900456548),
                 (1.82390873332485, 0.13499778249952704),
-                (0.12226460968492196, 0.032625544097476755)],
+                (0.12226460968492196, 0.03262554409747676)],
         EXPLICIT: [(0.6932153218621919, 0.07935224644125986),
-                   (1.972224916457187, 0.12431090469780234),
+                   (1.972224916457187, 0.12431090469780236),
                    (0.002478007851042852, 0.0005270188970702532)],
     }
     for law, values in expected.items():

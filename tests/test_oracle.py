@@ -366,6 +366,15 @@ def test_corridor_power_independent_of_blas_threads(tmp_path):
         _with_blas_threads(2, ["-c", code], tmp_path)
 
 
+def test_corridor_mc_stderr_independent_of_blas_threads(tmp_path):
+    # its chunks of 20,000 paths are above the 10,000 entries where OpenBLAS
+    # threads a dot product, so a sum of squares by np.dot moves a last bit
+    code = ("from kbrw.mogulskii import brownian_corridor_mc; "
+            "print(repr(brownian_corridor_mc(-1, 1, -1, 1, paths=40_000, steps=40, seed=2)))")
+    assert _with_blas_threads(1, ["-c", code], tmp_path) == \
+        _with_blas_threads(2, ["-c", code], tmp_path)
+
+
 @pytest.mark.parametrize("command, config", [
     ("analyze", "analyze_binary.json"), ("survival", "survival_binary.json"),
     ("pemantle", "pemantle_binary.json"), ("mogulskii", "mogulskii_lazy.json")])
