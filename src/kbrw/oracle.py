@@ -89,6 +89,16 @@ def exact_path_survival(ll: LatticeLaw, n: int, u_line: float) -> float:
     below it and computes each level's kill bound when it reaches the level;
     a line that outruns every lineage gives exactly 0.  A negative n or a
     NaN line raises ``ValueError``.
+
+    The zero pad below each window is long enough: at every level j the
+    pass slices, low(j + 1) - low(j) <= u_max + 1.  low(j) is
+    max(ceil(y_j), j * u_min) with y_j the computed c * j - tol, so it rises
+    by at most the larger of ceil(y_{j+1}) - ceil(y_j) and u_min <= u_max.
+    A line c > u_max + 1/2 has y_n > n * u_max, so the pass returns 0 at
+    level n, before any slice.  Otherwise y_{j+1} - y_j is c plus rounding
+    far below 1/2 (while |c| * n < 2^48), so less than u_max + 1, and
+    ceil(y_{j+1}) - ceil(y_j) < y_{j+1} - y_j + 1 is at most u_max + 1.  The
+    pad holds u_max + 2 - u_min zeros, one more than that needs.
     """
     c = float(u_line)
     if n < 0:
@@ -150,7 +160,7 @@ def exact_path_survival(ll: LatticeLaw, n: int, u_line: float) -> float:
     # ``child`` holds level j+1: zeros on the ``gap`` sums below lo1 (killed),
     # R on [lo1, top1), then ``pad``, ``span`` copies of the saturation value
     # g_k.  The gap reaches the lowest child of the next level's window: the
-    # low bound rises by at most ceil(c) + 1 <= u_max + 2 per level.
+    # low bound rises by at most u_max + 1 per sliced level (see above).
     gap = u_max + 2 - u_min
     zeros = np.zeros(gap)
     pad = np.ones(span)             # g_0 = 1: every leaf survives

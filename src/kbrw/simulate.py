@@ -7,14 +7,18 @@ two-phase construction samples the offspring count of the minorizing
 Galton-Watson tree used in the lower-bound argument.
 
 Particles are flat (owner, position) arrays and per-replicate results are
-reductions over the owner index.  A chunk of CHUNK replicates is the unit
-of streams: chunk c reads the Philox stream (seed, c), so results are
-bitwise reproducible regardless of scheduling.  A group of consecutive
-chunks is the unit of array operations: every routine advances a group at
-once, and only the draws stay per chunk, in the order and amounts the
-chunk would draw alone.  A group that outgrows GROUP_BUDGET particles
-splits in two by chunk; the budget is a memory setting that never changes
-a result.
+reductions over the owner index.  Every routine keeps the owners
+nondecreasing: roots are numbered in order, a brood follows its parent, and
+filters and splits keep order.  So each replicate's particles form one run,
+which a group counts by binary search once its populations are large.
+
+A chunk of CHUNK replicates is the unit of streams: chunk c reads the
+Philox stream (seed, c), so results are bitwise reproducible regardless of
+scheduling.  A group of consecutive chunks is the unit of array operations:
+every routine advances a group at once, and only the draws stay per chunk,
+in the order and amounts the chunk would draw alone.  A group that outgrows
+GROUP_BUDGET particles splits in two by chunk; the budget is a memory
+setting that never changes a result.
 """
 
 from __future__ import annotations
@@ -39,6 +43,9 @@ CHUNK = 64
 GROUP_BUDGET = 1 << 14
 # particles one chunk may hold in the unkilled walk of estimate_M_kappa
 POPULATION_GUARD = 10_000_000
+# owners per replicate above which a group's populations are counted by one
+# binary search per replicate, not by reading every owner; a speed setting only
+SEARCH_RATIO = 32
 
 
 @dataclass(frozen=True)
@@ -171,8 +178,32 @@ def _advance(sample, vlaw: VLaw, rngs: list, owner: np.ndarray, v: np.ndarray
     """
     ends = np.searchsorted(owner, np.arange(CHUNK, CHUNK * len(rngs) + 1, CHUNK))
     counts, flat = sample(ends.tolist(), rngs)
-    return (np.repeat(owner, counts), np.repeat(v, counts) + vlaw.v_increment(flat),
-            counts)
+    # in place, which saves an array; IEEE addition commutes, so the bits stay
+    children = vlaw.v_increment(flat)
+    children += np.repeat(v, counts)
+    return np.repeat(owner, counts), children, counts
+
+
+def _counts(owner: np.ndarray, k: int) -> np.ndarray:
+    """Particles of each of a group's replicates 0 .. k - 1, from its
+    nondecreasing owners.  ``bincount`` reads every owner and a binary
+    search reads log2(owners) of them per replicate, so the search wins
+    once there are more than SEARCH_RATIO owners per replicate."""
+    if owner.size > SEARCH_RATIO * k:
+        return np.diff(owner.searchsorted(np.arange(k + 1)))
+    return np.bincount(owner, minlength=k)
+
+
+def _where(mask: np.ndarray, cols: list) -> list:
+    """Each column's entries where ``mask`` holds, in order.  That is the
+    columns themselves where it holds everywhere, as it does for about a
+    third of the entries that rows reaching the escape cap filter, and else
+    one index array and one ``take`` per column, which beats ``compress``
+    and boolean indexing from about 10^4 entries up."""
+    if mask.all():
+        return cols
+    kept = np.flatnonzero(mask)
+    return [c.take(kept) for c in cols]
 
 
 def _killed(vlaw: VLaw, v_slope: float, n: int, escape_cap: float, seed: int,
@@ -194,14 +225,11 @@ def _killed(vlaw: VLaw, v_slope: float, n: int, escape_cap: float, seed: int,
         here = pop[first:first + k]
         capped = here >= escape_cap
         if capped.any():
-            live = ~capped[owner]
-            owner, v = owner[live], v[live]
+            owner, v = _where((~capped)[owner], [owner, v])
         if v.size:
             owner, v, _ = _advance(sample, vlaw, rngs, owner, v)
-            keep = v <= v_slope * gen + BOUNDARY_TOL
-            # compress, not v[keep]: about 3x faster on populations of 10^5 and up
-            owner, v = owner.compress(keep), v.compress(keep)
-            here[:] = np.bincount(owner, minlength=k)
+            owner, v = _where(v <= v_slope * gen + BOUNDARY_TOL, [owner, v])
+            here[:] = _counts(owner, k)
             np.maximum(peak[first:first + k], here, out=peak[first:first + k])
         return [owner, v]
 
@@ -282,9 +310,12 @@ def estimate_M_kappa(vlaw: VLaw, j_max: int = 10, replicates: int = 800,
             # the guard holds per chunk, whatever the group
             if v.size > POPULATION_GUARD and np.bincount(owner // CHUNK).max() > POPULATION_GUARD:
                 raise GridExhausted("unkilled population exceeded the guard; lower j_max")
-            np.maximum.at(top, owner, v)
+        # the replicates with particles, and where each one's run starts
+        bounds = owner.searchsorted(np.arange(k + 1))
+        seen = np.flatnonzero(bounds[1:] > bounds[:-1])
+        top[seen] = np.maximum(top[seen], np.maximum.reduceat(v, bounds[seen]))
         prefix_max[first:first + k, j - 1] = top
-        alive[first + owner, j - 1] = True
+        alive[first + seen, j - 1] = True
         return [owner, v]
 
     for _ in _run(_roots(seed, replicates), j_max, step):
@@ -333,10 +364,9 @@ def simulate_G(vlaw: VLaw, params: GwEmbedParams, replicates: int, seed: int = 0
             lineage = np.repeat(lineage, counts)
             out_of_bounds = lineage[delta > limit + BOUNDARY_TOL]
             if out_of_bounds.size:
-                disqualified = np.zeros(int(lineage[-1]) + 1, dtype=bool)
-                disqualified[out_of_bounds] = True
-                keep = ~disqualified[lineage]
-                owner, lineage, delta = owner[keep], lineage[keep], delta[keep]
+                qualified = np.ones(int(lineage[-1]) + 1, dtype=bool)
+                qualified[out_of_bounds] = False
+                owner, lineage, delta = _where(qualified[lineage], [owner, lineage, delta])
         return [owner, lineage, delta]
 
     # phase 2 reads each chunk's stream where phase 1 left it
@@ -346,7 +376,7 @@ def simulate_G(vlaw: VLaw, params: GwEmbedParams, replicates: int, seed: int = 0
              for first, k, rngs, (owner, _) in phase1)
     out = np.zeros(replicates, dtype=np.int64)
     for first, k, _, (owner, _, _) in _run(heads, params.n - params.L, step):
-        out[first:first + k] = np.bincount(owner, minlength=k)
+        out[first:first + k] = _counts(owner, k)
     return out
 
 

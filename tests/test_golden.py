@@ -222,6 +222,20 @@ def test_population_routines():
     assert [e.p_hat for e in sweep] == [0.15, 0.035, 0.035, 0.035]
 
 
+def test_population_step_at_scale():
+    # the escape-cap row of the tree-mc benchmark (estimate_rho at cap 10^4 is
+    # the last entry of this sweep, from the very same run): populations far
+    # above their group's replicate count
+    vb = _vlaw(BinaryBernoulli(0.3))
+    sweep = escape_cap_sweep(vb, BarrierSpec("V", 1.0), 20, 1000, [10, 100, 1000, 10_000],
+                             seed=21)
+    assert [(e.survivors, e.cap_hits) for e in sweep] == \
+        [(452, 452), (452, 451), (452, 436), (452, 289)]
+    # a law that can die out, so kappa reads the alive record as well
+    assert estimate_M_kappa(_vlaw(MIXED), j_max=10, replicates=400, seed=23) == \
+        (2.192995292399475, 0.695)
+
+
 def test_gaussian_profiles_and_certificates():
     # (t*, gamma, psi, psi'', sigma^2, beta_U, beta_V), then the two tilt
     # residuals and the two delta witnesses of make_vlaw

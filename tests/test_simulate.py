@@ -1,8 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import proportion_stderr, sample_broods
@@ -222,6 +223,73 @@ def test_group_layout_leaves_results_unchanged(monkeypatch, request, law):
         # 7 chunks start at the budget, so every split comes mid-run
         assert (len(splits) > 0) == (budget < 10 ** 9)
         splits.clear()
+
+
+# a group of k replicates and its owners, nondecreasing as every routine keeps them
+_sorted_owners = st.integers(1, 5).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.integers(0, k - 1), max_size=240).map(sorted)))
+
+
+@pytest.mark.parametrize("ratio", [-1, math.inf])   # always searchsorted, always bincount
+@given(case=_sorted_owners)
+@example(case=(3, []))
+@example(case=(1, [0] * 40))
+@example(case=(5, [1, 2, 2, 3]))   # no owner 0 and no owner 4
+@example(case=(4, [2] * 9))
+@settings(max_examples=60, deadline=None)
+def test_both_counts_equal_bincount(ratio, case):
+    k, owners = case
+    owner = np.array(owners, dtype=np.int64)
+    with mock.patch.object(simulate, "SEARCH_RATIO", ratio):
+        got = simulate._counts(owner, k)
+    expected = np.bincount(owner, minlength=k)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+
+
+def _assert_runs(owner, k):
+    assert np.all(owner[:-1] <= owner[1:])
+    assert owner.size == 0 or 0 <= owner[0] <= owner[-1] < k
+
+
+def test_owners_stay_nondecreasing(monkeypatch, vlaw_p03):
+    # _counts relies on it: every step, after _halves, _advance, the capped,
+    # kill and disqualified filters, leaves each replicate's particles in one run
+    run, sides, splits, filtered = simulate._run, [], [], []
+
+    def checked_run(groups, gens, step):
+        def checked(gen, first, k, rngs, cols):
+            _assert_runs(cols[0], k)
+            cols = step(gen, first, k, rngs, cols)
+            _assert_runs(cols[0], k)
+            return cols
+        return run(groups, gens, checked)
+
+    counts, halves, where = simulate._counts, simulate._halves, simulate._where
+    monkeypatch.setattr(simulate, "_run", checked_run)
+    monkeypatch.setattr(simulate, "_where", lambda mask, cols: filtered.append(len(cols)) or
+                        where(mask, cols))
+    monkeypatch.setattr(simulate, "_counts", lambda owner, k: sides.append(
+        owner.size > simulate.SEARCH_RATIO * k) or counts(owner, k))
+    monkeypatch.setattr(simulate, "_halves", lambda *a: splits.append(1) or halves(*a))
+    monkeypatch.setattr(simulate, "GROUP_BUDGET", 4 * simulate.CHUNK)
+    sweep = escape_cap_sweep(vlaw_p03, BarrierSpec("V", 1.0), 14, 400, (100,), seed=3)
+    assert sweep[0].cap_hits > 0 and splits and set(sides) == {False, True}
+    estimate_M_kappa(vlaw_p03, j_max=8, replicates=300, seed=4)
+    filtered.clear()
+    simulate_G(vlaw_p03, GwEmbedParams(n=9, eps=1.0, alpha=0.5, L=6, M=0.2), 1000, seed=6,
+               strict=False)
+    assert 3 in filtered   # some lineage was disqualified
+
+
+def test_population_equal_to_the_cap_stops_drawing(vlaw_p03):
+    # binary populations are whole numbers, so caps c and c - 0.5 stop the
+    # same replicates at the same generation only if a population equal to
+    # the cap stops
+    line = BarrierSpec("V", 1.0)
+    for cap in (4, 9, 30):
+        assert estimate_rho(vlaw_p03, line, 12, 1000, escape_cap=cap, seed=cap) == \
+            estimate_rho(vlaw_p03, line, 12, 1000, escape_cap=cap - 0.5, seed=cap)
 
 
 def test_population_guard(monkeypatch, vlaw_p03):
