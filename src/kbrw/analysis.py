@@ -172,9 +172,14 @@ def beta_bs_from_gamma_derivative(p0: float, step: float = 1e-6) -> float:
     return math.pi / 4.0 * math.sqrt(gprime / (1.0 - 2.0 * p0)) * math.log(1.0 / (4.0 * p0))
 
 
+def is_aldous_point(p: float) -> bool:
+    """Whether 16 p (1 - p) = 1 within 1e-9: the gamma = 1/2 point of binary laws."""
+    return abs(16.0 * p * (1.0 - p) - 1.0) <= 1e-9
+
+
 def aldous_rate(p0: float) -> float:
     """Coefficient of 1/sqrt(p - p0) in Aldous's exponent at the 16p(1-p)=1 point."""
-    if abs(16.0 * p0 * (1.0 - p0) - 1.0) > 1e-9:
+    if not is_aldous_point(p0):
         raise ValueError("aldous_rate requires 16*p0*(1-p0) = 1 within 1e-9")
     return math.pi * math.log(1.0 / (4.0 * p0)) / (4.0 * math.sqrt(1.0 - 2.0 * p0))
 
@@ -182,5 +187,5 @@ def aldous_rate(p0: float) -> float:
 __all__ = [
     "CgfEvaluator", "CriticalProfile", "solve_tstar",
     "gamma_bs_solve", "beta_bs_from_gamma_derivative",
-    "aldous_rate", "central_difference", "H_TOL",
+    "aldous_rate", "is_aldous_point", "central_difference", "H_TOL",
 ]

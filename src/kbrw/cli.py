@@ -44,7 +44,7 @@ import numpy as np
 
 from . import models, oracle, simulate, transform
 from .analysis import (aldous_rate, beta_bs_from_gamma_derivative,
-                       gamma_bs_solve, solve_tstar)
+                       gamma_bs_solve, is_aldous_point, solve_tstar)
 from .errors import (CertificationError, DomainTooNarrow, GridExhausted,
                      LatticeError, LawValidationError, NoCriticalPoint)
 from .models import (BinaryBernoulli, DiscreteFinite, ExplicitFinite, Gaussian,
@@ -413,7 +413,7 @@ def cmd_analyze(config: dict, threads: int | None):
             ("gamma_cross_check_abs_diff", abs(g - profile.gamma)),
             ("beta_bs", profile.beta_U),
         ]
-        if abs(16.0 * law.p * (1.0 - law.p) - 1.0) <= 1e-9:
+        if is_aldous_point(law.p):
             # the derivative form of beta applies only at the gamma = 1/2 point
             rows.append(("beta_bs_derivative_form", beta_bs_from_gamma_derivative(law.p)))
             rows.append(("aldous_rate", aldous_rate(law.p)))
@@ -476,8 +476,6 @@ def _pemantle_row(ll, profile, rel_tol: float, n_start: int, n_max: int, eps_u: 
 
 def cmd_pemantle(config: dict, threads: int | None):
     n_start, n_max = int(config.get("n_start", 128)), int(config.get("n_max", 1 << 18))
-    if n_start >= n_max:
-        raise ValueError(f"n_start = {n_start} leaves no doubling below n_max = {n_max}")
     if config["law"]["type"] != "binary_bernoulli":
         raise LawValidationError("pemantle command needs a binary_bernoulli law")
     vlaw = _certified(config)
@@ -491,7 +489,7 @@ def cmd_pemantle(config: dict, threads: int | None):
     header = ["eps_U", "eps_V", "n_used", "rho_oracle",
               "sqrt_eps_times_log_rho", "beta_target"]
     footers = []
-    if abs(16.0 * law.p * (1.0 - law.p) - 1.0) <= 1e-9:
+    if is_aldous_point(law.p):
         footers.append(f"aldous_rate={_fmt(aldous_rate(law.p))}")
     return header, rows, footers
 

@@ -37,6 +37,7 @@ from .stats import closed_cdf
 
 PROB_TOL = 1e-12
 LATTICE_TOL = 1e-9
+MAX_FRAME_SPAN = 1000   # steps h in a non-integer frame; the exact DPs' windows grow with it
 # within this of a bound counts as inside: the Monte Carlo kill line, the
 # exact DP's integer barrier and the lattice corridor bounds all use it
 BOUNDARY_TOL = 1e-9
@@ -199,10 +200,18 @@ def child_atoms(law: OffspringLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     return u[keep], nu[keep].astype(np.int64), w[keep], noise
 
 
-def is_lattice(law: OffspringLaw) -> bool:
-    """True when all displacements are integers (within 1e-9)."""
-    values, _, noise = intensity_atoms(law)
-    return noise == 0.0 and bool(np.all(np.abs(values - np.round(values)) <= LATTICE_TOL))
+def lattice_frame(values) -> tuple[float, float] | None:
+    """(a, h) with every value within LATTICE_TOL of a + h Z, or None: exactly
+    (0.0, 1.0) for integers, else the least value and the least gap, so two
+    values always have a frame and {0, 0.4, 1} has none.  A frame more than
+    MAX_FRAME_SPAN steps wide, as {0, 1, 1.0001} would need, is None."""
+    v = np.unique(values)
+    if np.all(np.abs(v - np.rint(v)) <= LATTICE_TOL):
+        return 0.0, 1.0
+    a, h = float(v[0]), (float(np.diff(v).min()) if v.size > 1 else 1.0)
+    k = (v - a) / h
+    ok = k[-1] <= MAX_FRAME_SPAN and np.all(np.abs(k - np.rint(k)) <= LATTICE_TOL)
+    return (a, h) if ok else None
 
 
 def mean_exp_sum(law: OffspringLaw, t: float) -> float:
@@ -322,6 +331,6 @@ __all__ = [
     "BinaryBernoulli", "ProductLaw", "ExplicitFinite", "DiscreteFinite", "Gaussian",
     "OffspringLaw", "StepLaw", "ValidationReport",
     "offspring_pmf", "mean_children", "step_law",
-    "intensity_atoms", "child_atoms", "is_lattice", "mean_exp_sum",
+    "intensity_atoms", "child_atoms", "lattice_frame", "mean_exp_sum",
     "validate", "brood_sampler",
 ]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models, oracle
-from .models import BOUNDARY_TOL, LATTICE_TOL, DiscreteFinite
+from .models import BOUNDARY_TOL, DiscreteFinite
 from .spine import SpineLaw
 from .stats import chunked_mean, closed_cdf, replicate_chunks
 
@@ -220,12 +220,11 @@ class ArraySpec:
     it is sampled.  Each step adds an independent N(0, noise^2) part, as a
     Gaussian spine does; such a family has no frame.
 
-    ``lattice`` families are integer steps on the frame (0, 1), never
-    conditioned.  ``spine`` families take the tilted step of a centered
-    law; on product laws the count is independent of the step, so
-    conditioning only truncates a vanishing tail.  A spine walk lives on
-    the frame (psi, -t*) exactly when ``models.is_lattice`` holds for its
-    law.
+    ``lattice`` families take their steps' ``models.lattice_frame`` and are
+    never conditioned.  ``spine`` families take the tilted step of a centered
+    law; on product laws the count is independent of the step, so conditioning
+    only truncates a vanishing tail.  A law's frame (a, h) gives its spine
+    steps psi - t* u the frame (psi - t* a, -t* h); without one they have none.
     """
 
     atoms: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -236,10 +235,9 @@ class ArraySpec:
     @classmethod
     def lattice(cls, atoms) -> "ArraySpec":
         step = DiscreteFinite(tuple(atoms))
-        values = np.rint(step.values)
-        if np.any(np.abs(step.values - values) > LATTICE_TOL):
-            raise ValueError("lattice family needs integer step values")
-        return cls((values, np.zeros(values.size, dtype=np.int64), step.probs), (0.0, 1.0))
+        if (frame := models.lattice_frame(step.values)) is None:
+            raise ValueError("lattice family needs step values on a lattice a + h Z")
+        return cls((step.values, np.zeros(len(step.atoms), dtype=np.int64), step.probs), frame)
 
     @classmethod
     def lazy_walk(cls) -> "ArraySpec":
@@ -248,7 +246,9 @@ class ArraySpec:
     @classmethod
     def from_spine(cls, sp: SpineLaw, condition_nu: bool = True) -> "ArraySpec":
         vl = sp.vlaw
-        frame = (vl.psi_tstar, -vl.t_star) if models.is_lattice(vl.base) else None
+        frame = None if sp.noise else models.lattice_frame(models.intensity_atoms(vl.base)[0])
+        if frame is not None:
+            frame = (vl.psi_tstar - vl.t_star * frame[0], -vl.t_star * frame[1])
         return cls((sp.s_values, sp.nu_values, sp.probs), frame, condition_nu, sp.noise)
 
     def a_n(self, n: int) -> float:

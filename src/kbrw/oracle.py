@@ -1,4 +1,4 @@
-"""Exact dynamic programming on integer-lattice laws.
+"""Exact dynamic programming on lattice laws, whose displacements lie on a + h Z.
 
 Ground truth for everything the Monte Carlo engine estimates: the
 probability that some lineage of length n stays above a linear kill line
@@ -38,32 +38,35 @@ from .models import BOUNDARY_TOL, OffspringLaw
 
 @dataclass(frozen=True)
 class LatticeLaw:
-    """Integer-displacement view of an offspring law.
+    """Lattice view of an offspring law: displacements a + h K on its frame.
 
-    Every law carries its offspring pgf.  Product-structured laws add the
-    integer step pmf; explicit laws keep their atomic outcomes, since
-    displacements within one brood are then dependent.  Laws hold no atom
-    of probability 0, so no step value or outcome here has one.
+    Every law carries its offspring pgf and ``models.lattice_frame`` (a, h).
+    Product-structured laws add the pmf of the integer step K; explicit laws
+    keep their atomic outcomes in K, since displacements within one brood are
+    then dependent.  Laws hold no atom of probability 0, and neither does K.
     """
 
     pgf_coeffs: tuple[float, ...]
     step_values: tuple[int, ...]
     step_probs: tuple[float, ...] | None
     outcomes: tuple[tuple[tuple[int, ...], float], ...] | None
+    frame: tuple[float, float]
 
     @classmethod
     def from_law(cls, law: OffspringLaw) -> "LatticeLaw":
-        if not models.is_lattice(law):
-            raise LatticeError("exact DP requires finite integer displacements")
+        values, _, noise = models.intensity_atoms(law)
+        if noise or (frame := models.lattice_frame(values)) is None:
+            raise LatticeError("exact DP requires finite displacements on a lattice a + h Z")
+        a, h = frame
         pmf = dict(models.offspring_pmf(law))
         coeffs = [pmf.get(k, 0.0) for k in range(max(pmf) + 1)]
         step = models.step_law(law)
         if step is None:
-            outs = tuple((tuple(int(round(d)) for d in ds), p) for ds, p in law.outcomes)
+            outs = tuple((tuple(round((d - a) / h) for d in ds), p) for ds, p in law.outcomes)
             values = tuple(sorted({d for ds, _ in outs for d in ds}))
-            return cls(tuple(coeffs), values, None, outs)
-        values = tuple(int(round(v)) for v in step.values)
-        return cls(tuple(coeffs), values, tuple(step.probs), None)
+            return cls(tuple(coeffs), values, None, outs, frame)
+        values = tuple(round((v - a) / h) for v in step.values.tolist())
+        return cls(tuple(coeffs), values, tuple(step.probs), None, frame)
 
     @property
     def u_min(self) -> int:
@@ -80,8 +83,8 @@ def exact_path_survival(ll: LatticeLaw, n: int, u_line: float) -> float:
     The constraint is U(x_i) >= u_line * i for all 1 <= i <= n, in the
     original coordinate; ``simulate.BarrierSpec.u_line`` gives the line of
     a barrier in either coordinate.  Backward recursion over survival
-    probabilities R: a particle at level j with sum s survives iff some
-    child is above the kill line and survives, giving
+    probabilities R of the frame's integer sums: a particle at level j with
+    sum s survives iff some child is above the kill line and survives, giving
     R_j(s) = H(E_Y[R_{j+1}(s+Y)]) with H(x) = 1 - G_Z(1 - x) =
     x * sum_i P(Z > i) (1 - x)^i for product laws, and
     sum_b p_b (1 - prod_{d in b} (1 - R_{j+1}(s+d))) over broods b for
@@ -100,7 +103,7 @@ def exact_path_survival(ll: LatticeLaw, n: int, u_line: float) -> float:
     ceil(y_{j+1}) - ceil(y_j) < y_{j+1} - y_j + 1 is at most u_max + 1.  The
     pad holds u_max + 2 - u_min zeros, one more than that needs.
     """
-    c = float(u_line)
+    c = (float(u_line) - ll.frame[0]) / ll.frame[1]     # the line in K: U = a i + h K
     if n < 0:
         raise ValueError(f"n must be at least 0, got {n}")
     if math.isnan(c):
@@ -306,8 +309,8 @@ def rho_limit(ll: LatticeLaw, u_line: float, rel_tol: float = 0.01, n_start: int
     n_used = 2 n_used - n_start levels, about half of them spent on the
     depths before the last.
     """
-    if n_start < 1:
-        raise ValueError(f"n_start must be at least 1, got {n_start}")
+    if not 1 <= n_start < n_max:
+        raise ValueError(f"n_start = {n_start} leaves no doubling below n_max = {n_max}")
     n = n_start
     prev = exact_path_survival(ll, n, u_line)
     while n < n_max:

@@ -297,6 +297,21 @@ def test_survival_non_lattice_warns_and_omits_oracle(tmp_path, capsys):
     assert {r["method"] for r in rows} == {"mc"}
 
 
+def test_survival_half_integer_law_has_oracle_rows(tmp_path):
+    # {2: 1} x {0: 0.7, 0.5: 0.3} lies on the frame (0, 1/2): in K it is the
+    # integer law {0: 0.7, 1: 0.3}, with the same rho at a V slope
+    rows = {}
+    for name, half in (("half", 0.5), ("unit", 1)):
+        config = {**_survival_config(), "law": _binary_step_law([[0, 0.7], [half, 0.3]]),
+                  "slopes": [0.1], "n": [6]}
+        out = tmp_path / f"{name}.csv"
+        assert main(["survival", "--config", _write(tmp_path, f"{name}.json", config),
+                     "--out", str(out)]) == EXIT_OK
+        rows[name] = [r for r in _read_rows(out) if r["method"] == "oracle"]
+    assert len(rows["half"]) == 1 and rows["half"] == rows["unit"]
+    assert float(rows["half"][0]["estimate"]) == 0.0562155890028311
+
+
 def _binary_step_law(atoms):
     return {"type": "product", "offspring_pmf": [[2, 1.0]],
             "step": {"type": "discrete", "atoms": atoms}}
@@ -443,10 +458,10 @@ def test_pemantle_depth_cap_exit_code(tmp_path):
 @pytest.mark.parametrize("n_start, n_max", [(512, 256), (256, 256), (None, 128)])
 def test_pemantle_rejects_depths_without_a_doubling(tmp_path, capsys, monkeypatch,
                                                     n_start, n_max):
-    # rho_limit could not double once, so the config is refused before any DP
+    # rho_limit could not double once, so it refuses the depths before any DP
     def no_dp(*args, **kwargs):
         raise AssertionError("a DP ran")
-    monkeypatch.setattr(cli.oracle, "rho_limit", no_dp)
+    monkeypatch.setattr(cli.oracle, "exact_path_survival", no_dp)
     config = {"law": {"type": "binary_bernoulli", "p": 0.3}, "eps_grid": [0.05],
               "n_start": n_start, "n_max": n_max}
     cfg = _write(tmp_path, "pn.json", {k: v for k, v in config.items() if v is not None})
@@ -572,11 +587,27 @@ def test_mogulskii_spine_family_needs_law(tmp_path, capsys):
     assert "needs a 'law'" in capsys.readouterr().err
 
 
-def test_mogulskii_lattice_family_needs_integer_atoms(tmp_path):
-    config = _mog_config()
-    config["family"] = {"type": "lattice", "atoms": [[-1, 0.5], [0.5, 0.5]]}
+def test_mogulskii_lattice_family_needs_atoms_on_a_frame(tmp_path, capsys):
+    # {-1, 0, sqrt 2} lies on no a + h Z; sigma is the walk's own, so only
+    # the missing frame can refuse it
+    atoms = [[-1, 0.5], [0, 0.25], [math.sqrt(2), 0.25]]
+    mean = sum(v * p for v, p in atoms)
+    config = {**_mog_config(), "family": {"type": "lattice", "atoms": atoms}}
+    config["corridor"]["sigma"] = math.sqrt(sum(p * (v - mean) ** 2 for v, p in atoms))
     assert main(["mogulskii", "--config", _write(tmp_path, "li.json", config)]) \
         == EXIT_VALIDATION
+    assert "lattice family needs step values on a lattice" in capsys.readouterr().err
+
+
+def test_mogulskii_half_integer_lattice_family_is_exact(tmp_path):
+    config = {**_mog_config(), "n_list": [1000],
+              "family": {"type": "lattice", "atoms": [[-0.5, 0.5], [0.5, 0.5]]}}
+    config["corridor"]["sigma"] = 0.5
+    out = tmp_path / "half.csv"
+    assert main(["mogulskii", "--config", _write(tmp_path, "half.json", config),
+                 "--out", str(out)]) == EXIT_OK
+    row, = _read_rows(out)
+    assert 0.0 < float(row["prob"]) < 1.0
 
 
 def test_mogulskii_lattice_family_drops_zero_probability_atoms(tmp_path):

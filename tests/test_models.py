@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import sample_broods
 from kbrw.errors import LawValidationError
 from kbrw.models import (BinaryBernoulli, DiscreteFinite, ExplicitFinite,
-                         Gaussian, ProductLaw, child_atoms, intensity_atoms, is_lattice,
+                         Gaussian, ProductLaw, child_atoms, intensity_atoms, lattice_frame,
                          mean_children, offspring_pmf, step_law, validate)
 from kbrw.rng import replicate_stream
 
@@ -155,9 +155,32 @@ def test_structural_views(law_explicit):
     assert offspring_pmf(law_explicit) == ((2, 1.0),)
     values, weights, _ = intensity_atoms(law_explicit)
     assert weights.sum() == pytest.approx(2.0)
-    assert is_lattice(law_explicit)
-    assert not is_lattice(ProductLaw(((2, 1.0),), Gaussian(0.0, 1.0)))
-    assert not is_lattice(ProductLaw(((2, 1.0),), DiscreteFinite(((0.5, 0.5), (1.0, 0.5)))))
+    assert lattice_frame(values) == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("values, frame", [
+    # within 1e-9 of integers: exactly the integer frame, however wide
+    ([0, 1], (0.0, 1.0)),
+    ([-60, 1 - 1e-10, 5000], (0.0, 1.0)),
+    ([], (0.0, 1.0)),
+    # two values, or evenly spaced ones, always have a frame
+    ([0.5, 1.0], (0.5, 0.5)),
+    ([-0.3, 0.7], (-0.3, 1.0)),
+    ([0.0, math.sqrt(2)], (0.0, math.sqrt(2))),
+    ([-0.5, 0.5, 2.5], (-0.5, 1.0)),
+    ([0.25], (0.25, 1.0)),
+    # a frame finer than every gap is not searched for
+    ([0.0, 0.4, 1.0], None),
+    ([0.0, 1.0, math.sqrt(2)], None),
+    # near-commensurate: 1.0001 is 10,001 steps of its own gap (rounded)
+    ([0.0, 1.0, 1.0001], None),
+    # at most MAX_FRAME_SPAN = 1,000 steps wide
+    ([0.0, 0.5, 500.0], (0.0, 0.5)),
+    ([0.0, 0.5, 500.5], None),
+    ([0.0, 0.001, 1.0], (0.0, 0.001)),
+])
+def test_lattice_frame(values, frame):
+    assert lattice_frame(np.array(values, dtype=np.float64)) == frame
 
 
 @pytest.mark.parametrize("name", ["law_p03", "law_p0", "law_explicit", "law_gaussian",

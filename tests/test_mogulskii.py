@@ -1,12 +1,15 @@
+import csv
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import full_product_corridor_mc
+from conftest import CORRIDOR_REL_TOL, corridor_series, full_product_corridor_mc
+from kbrw.cli import main
 from kbrw.analysis import solve_tstar
 from kbrw.models import BinaryBernoulli, DiscreteFinite, ProductLaw
 from kbrw.mogulskii import (ArraySpec, CorridorSpec, brownian_corridor_mc,
@@ -289,14 +292,69 @@ def test_violation_warns_but_runs():
 
 
 def test_spine_family_is_exact_iff_law_is_lattice(law_explicit):
+    # half-integer steps lie on the frame (0, 1/2); {0, 1, sqrt 2} on none
     half = ProductLaw(((2, 1.0),), DiscreteFinite(((0.0, 0.7), (0.5, 0.3))))
-    for law, method in ((law_explicit, "dp"), (half, "mc")):
+    irrational = ProductLaw(((2, 1.0),), DiscreteFinite(
+        ((0.0, 0.5), (1.0, 0.3), (math.sqrt(2), 0.2))))
+    for law, method in ((law_explicit, "dp"), (half, "dp"), (irrational, "mc")):
         prof = solve_tstar(law)
         arr = ArraySpec.from_spine(make_spine(make_vlaw(law, prof)))
         spec = CorridorSpec.from_functions(_flat(-1.0), _flat(1.0), prof.sigma)
         row, = triangular_experiment(arr, spec, [20], mc_replicates=20_000, seed=2)
         assert (arr.frame is not None, row.method) == (method == "dp", method)
         assert 0.0 < row.prob < 1.0
+
+
+def test_framed_spine_against_enumeration():
+    # steps {0, 1/2}: the spine walk S_i = i psi - t* U_i lives on the frame
+    # (psi, -t*/2); the corridor DP on it against all 2^n spine paths
+    from itertools import product as iproduct
+    law = ProductLaw(((2, 1.0),), DiscreteFinite(((0.0, 0.7), (0.5, 0.3))))
+    prof = solve_tstar(law)
+    sp = make_spine(make_vlaw(law, prof))
+    arr = ArraySpec.from_spine(sp)
+    assert arr.frame == (prof.psi_tstar, -prof.t_star * 0.5)
+    spec = CorridorSpec.from_functions(_flat(-1.0), _flat(1.0), prof.sigma)
+    n = 12
+    row, = triangular_experiment(arr, spec, [n])
+    assert row.method == "dp"
+    total = 0.0
+    for idx in iproduct(range(sp.s_values.size), repeat=n):
+        s = np.cumsum(sp.s_values[list(idx)])
+        if np.all((s >= -row.a_n - 1e-9) & (s <= row.a_n + 1e-9)):
+            total += math.prod(sp.probs[list(idx)])
+    assert row.prob == pytest.approx(total, rel=1e-12)
+
+
+def test_half_integer_lattice_family_is_the_scaled_walk():
+    # steps of +-1/2 in [-a_n, a_n] are steps of +-1 in [-2 a_n, 2 a_n]
+    half = ArraySpec.lattice(((-0.5, 0.5), (0.5, 0.5)))
+    unit = ArraySpec.lattice(((-1, 0.5), (1, 0.5)))
+    assert half.frame == (-0.5, 1.0) and unit.frame == (0.0, 1.0)
+    rows = [triangular_experiment(arr, CorridorSpec.from_functions(
+                _flat(-w), _flat(w), sigma), [1000, 8000], endpoint_b=w / 2)
+            for arr, w, sigma in ((half, 1.0, 0.5), (unit, 2.0, 1.0))]
+    for r_half, r_unit in zip(*rows):
+        assert r_half.method == r_unit.method == "dp"
+        assert r_half.prob == pytest.approx(r_unit.prob, rel=1e-12)
+        assert r_half.endpoint_prob == pytest.approx(r_unit.endpoint_prob, rel=1e-12)
+
+
+def test_shipped_lazy_rows_against_sine_series(tmp_path):
+    # the shipped config's rows are flat corridors [-m, m], m = floor(a_n),
+    # with the endpoint window [ceil(a_n / 2), m]
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "mogulskii_lazy.json"
+    out = tmp_path / "lazy.csv"
+    assert main(["mogulskii", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+    assert [int(r["n"]) for r in rows] == [1000, 10_000, 100_000]
+    for r in rows:
+        n, a = int(r["n"]), float(r["a_n"])
+        m = math.floor(a + 1e-9)
+        window = (math.ceil(a / 2 - 1e-9), m)
+        for got, win in ((float(r["prob"]), None), (float(r["endpoint_prob"]), window)):
+            ref = corridor_series((1 / 3,) * 3, -m, m, n, win)
+            assert abs(got - ref) <= CORRIDOR_REL_TOL * ref
 
 
 def test_gaussian_spine_family_uses_mc(law_gaussian):

@@ -11,13 +11,15 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import gw_survival_to_n
+from conftest import (CORRIDOR_REL_TOL, corridor_series, gw_survival_to_n,
+                      proportion_stderr)
 from kbrw import mogulskii, oracle
 from kbrw.analysis import solve_tstar
 from kbrw.errors import LatticeError
 from kbrw.models import BinaryBernoulli, DiscreteFinite, ExplicitFinite, ProductLaw
 from kbrw.oracle import LatticeLaw, exact_corridor_walk, exact_path_survival, rho_limit
-from kbrw.simulate import BarrierSpec
+from kbrw.simulate import BarrierSpec, estimate_rho
+from kbrw.transform import make_vlaw
 
 
 def _recursive_survival_binary(p, c, n):
@@ -127,6 +129,16 @@ def test_rho_limit_refuses_a_start_below_one(law_p03, profile_p03, n_start):
                   n_start=n_start)
 
 
+@pytest.mark.parametrize("n_start, n_max", [(512, 256), (256, 256), (1, 1)])
+def test_rho_limit_refuses_depths_without_a_doubling(monkeypatch, law_p03, n_start, n_max):
+    # it once ran a 512-level DP before raising GridExhausted below n = 256
+    def no_dp(*args, **kwargs):
+        raise AssertionError("a DP ran")
+    monkeypatch.setattr(oracle, "exact_path_survival", no_dp)
+    with pytest.raises(ValueError, match="leaves no doubling below n_max"):
+        rho_limit(LatticeLaw.from_law(law_p03), 0.5, n_start=n_start, n_max=n_max)
+
+
 def test_dp_equals_recursion_depth_12(law_p03, profile_p03):
     ll = LatticeLaw.from_law(law_p03)
     for slope in (0.05, 0.1, 0.2, 0.4):
@@ -167,11 +179,58 @@ def test_monotonicity_exact(law_p03, profile_p03):
 
 
 def test_non_lattice_rejected(law_gaussian):
+    # {0, 1, sqrt 2} lies on no a + h Z: 1 and sqrt(2) are incommensurate
     with pytest.raises(LatticeError):
         LatticeLaw.from_law(law_gaussian)
     with pytest.raises(LatticeError):
-        LatticeLaw.from_law(ProductLaw(((2, 1.0),),
-                                       DiscreteFinite(((0.25, 0.5), (1.0, 0.5)))))
+        LatticeLaw.from_law(ProductLaw(((2, 1.0),), DiscreteFinite(
+            ((0.0, 0.5), (1.0, 0.3), (math.sqrt(2), 0.2)))))
+
+
+def _binary_step(atoms):
+    return ProductLaw(((2, 1.0),), DiscreteFinite(atoms))
+
+
+@pytest.mark.parametrize("a, h", [(0.0, 0.5), (-0.3, 1.0), (0.0, math.sqrt(2)), (0.25, 3.0)])
+def test_framed_law_has_the_integer_laws_rho(a, h):
+    # U = a i + h K: in K the law is the integer law, and a V line does not
+    # move when U is shifted and scaled, so rho at a V slope is the integer
+    # law's; the frame is taken once, in from_law
+    def shifted(law):
+        if isinstance(law, ExplicitFinite):
+            return ExplicitFinite(tuple((tuple(a + h * d for d in ds), p)
+                                        for ds, p in law.outcomes))
+        return _binary_step(tuple((a + h * u, q) for u, q in law.step.atoms))
+
+    for law in (_binary_step(((0, 0.7), (1, 0.3))),
+                ExplicitFinite((((0.0, 0.0), 0.5), ((0.0, 1.0), 0.3), ((1.0, 2.0), 0.2)))):
+        plain, framed = LatticeLaw.from_law(law), LatticeLaw.from_law(shifted(law))
+        assert framed.frame == (a, h) and plain.frame == (0.0, 1.0)
+        assert framed.step_values == plain.step_values and framed.outcomes == plain.outcomes
+        for slope, n in ((0.1, 6), (0.05, 40), (0.02, 300)):
+            rho = exact_path_survival(
+                plain, n, BarrierSpec("V", slope).u_line(solve_tstar(law)))
+            got = exact_path_survival(
+                framed, n, BarrierSpec("V", slope).u_line(solve_tstar(shifted(law))))
+            assert rho > 0.0 and abs(got - rho) <= 1e-15 * rho
+
+
+@pytest.mark.parametrize("atoms, seed", [
+    (((0.0, 0.7), (0.5, 0.3)), 4),                       # half-integer steps
+    (((0.0, 0.6), (math.sqrt(2), 0.4)), 5),              # an irrational gap
+    (((-0.5, 0.5), (0.5, 0.25), (1.5, 0.25)), 6),        # half-integer, three atoms
+])
+def test_framed_law_mc_agrees_with_the_oracle(atoms, seed):
+    law = _binary_step(atoms)
+    profile = solve_tstar(law)
+    vlaw, ll = make_vlaw(law, profile), LatticeLaw.from_law(law)
+    reps = 20_000
+    for slope, n in ((0.1, 6), (0.05, 10)):
+        barrier = BarrierSpec("V", slope)
+        exact = exact_path_survival(ll, n, barrier.u_line(profile))
+        est = estimate_rho(vlaw, barrier, n, reps, escape_cap=math.inf, seed=seed)
+        assert 0.0 < exact < 1.0
+        assert abs(est.p_hat - exact) <= 4.0 * proportion_stderr(exact, reps)
 
 
 def test_zero_probability_atoms_do_not_widen_the_dp():
@@ -256,40 +315,36 @@ def _level_dp(steps, probs, lower, upper, endpoint=None):
     return dist.sum(), end
 
 
-def _lazy_strip_expansion(n, m, window):
-    """P{lazy walk stays in [-m, m] for n steps, and ends in ``window``} from the
-    eigen-expansion of its symmetric tridiagonal transfer matrix, 50 digits.
-
-    Each step probability is the double nearest 1/3, as passed to the DP:
-    three of them sum to 1 - 5.6e-17, a leak of 5.6e-11 relative by
-    n = 1e6, more than the DP's own rounding, so exact thirds would not do.
-    """
-    mp = mpmath.mp.clone()
-    mp.dps = 50
-    w, q = 2 * m + 1, mp.mpf(1 / 3)
-
-    def sin_sum(a, b, th):  # sum of sin(j th) for j = a..b
-        half = mp.mpf(0.5)
-        return (mp.cos((a - half) * th) - mp.cos((b + half) * th)) / (2 * mp.sin(th / 2))
-
-    total = end = mp.mpf(0)
-    for k in range(1, w + 1):
-        th = k * mp.pi / (w + 1)
-        c = 2 * mp.sin((m + 1) * th) / (w + 1) * (q * (1 + 2 * mp.cos(th))) ** n
-        total += c * sin_sum(1, w, th)
-        end += c * sin_sum(window[0] + m + 1, window[1] + m + 1, th)
-    return float(total), float(end)
+LAZY = (1 / 3,) * 3
 
 
 @pytest.mark.parametrize("n", [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6])
 def test_corridor_lazy_strip_closed_form(n):
     m = math.floor(np.cbrt(n) + 1e-9)
     window = ((m + 1) // 2, m)
-    p, pe = exact_corridor_walk([-1, 0, 1], [1 / 3] * 3, np.full(n, -m), np.full(n, m),
+    p, pe = exact_corridor_walk([-1, 0, 1], LAZY, np.full(n, -m), np.full(n, m),
                                 endpoint=window)
-    ref, ref_e = _lazy_strip_expansion(n, m, window)
-    assert abs(p - ref) <= 2e-11 * ref
-    assert abs(pe - ref_e) <= 2e-11 * ref_e
+    assert abs(p - corridor_series(LAZY, -m, m, n)) <= CORRIDOR_REL_TOL * p
+    assert abs(pe - corridor_series(LAZY, -m, m, n, window)) <= CORRIDOR_REL_TOL * pe
+
+
+@pytest.mark.parametrize("probs, n, lo, hi, window", [
+    (LAZY, 10 ** 6, -200, 200, None),
+    (LAZY, 10 ** 6, -50, 50, (-5, 30)),
+    (LAZY, 10 ** 5, -20, 20, None),
+    ((0.2, 0.5, 0.3), 5_000, -15, 15, None),
+    ((0.2, 0.5, 0.3), 5_000, -15, 15, (0, 15)),
+    ((0.2, 0.5, 0.3), 20_000, -40, 30, (-40, -10)),
+    ((0.45, 0.2, 0.35), 10 ** 5, -60, 60, (10, 60)),
+])
+def test_corridor_against_sine_series(probs, n, lo, hi, window):
+    p, pe = exact_corridor_walk([-1, 0, 1], probs, np.full(n, lo), np.full(n, hi),
+                                endpoint=window)
+    got = p if window is None else pe
+    ref = corridor_series(probs, lo, hi, n, window)
+    assert ref > 0.0 and abs(got - ref) <= CORRIDOR_REL_TOL * ref
+    # the tolerance would catch a 1e-11 defect here
+    assert abs(got * (1 + 1e-11) - ref) > CORRIDOR_REL_TOL * ref
 
 
 def _spied_corridor(monkeypatch, arr, spec, n, endpoint_b):
