@@ -37,7 +37,7 @@ from .stats import closed_cdf
 
 PROB_TOL = 1e-12
 LATTICE_TOL = 1e-9
-MAX_FRAME_SPAN = 1000   # steps h in a non-integer frame; the exact DPs' windows grow with it
+MAX_FRAME_SPAN = 10**6  # steps h in a non-integer frame; ends the search on incommensurate values
 # within this of a bound counts as inside: the Monte Carlo kill line, the
 # exact DP's integer barrier and the lattice corridor bounds all use it
 BOUNDARY_TOL = 1e-9
@@ -202,13 +202,16 @@ def child_atoms(law: OffspringLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
 
 def lattice_frame(values) -> tuple[float, float] | None:
     """(a, h) with every value within LATTICE_TOL of a + h Z, or None: exactly
-    (0.0, 1.0) for integers, else the least value and the least gap, so two
-    values always have a frame and {0, 0.4, 1} has none.  A frame more than
-    MAX_FRAME_SPAN steps wide, as {0, 1, 1.0001} would need, is None."""
+    (0.0, 1.0) for integers, else the least value and the gcd of the gaps, by
+    Euclid from the least gap, so {0, 0.4, 1} gets (0, 0.2).  A frame more
+    than MAX_FRAME_SPAN steps wide, as {0, 1, sqrt 2} would need, is None."""
     v = np.unique(values)
     if np.all(np.abs(v - np.rint(v)) <= LATTICE_TOL):
         return 0.0, 1.0
     a, h = float(v[0]), (float(np.diff(v).min()) if v.size > 1 else 1.0)
+    for x in (v - a).tolist():
+        while abs((k := x / h) - round(k)) > LATTICE_TOL and v[-1] - a <= MAX_FRAME_SPAN * h:
+            x, h = h, abs(x - round(k) * h)
     k = (v - a) / h
     ok = k[-1] <= MAX_FRAME_SPAN and np.all(np.abs(k - np.rint(k)) <= LATTICE_TOL)
     return (a, h) if ok else None

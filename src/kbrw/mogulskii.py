@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -214,30 +215,35 @@ class ArraySpec:
 
     Finite families hold one atom table (s, nu, p): step s, with the child
     count nu attached to it, has probability p.  With ``condition_nu`` the
-    step at size n is conditioned on nu <= r_n.  A ``frame`` (c, h) says
-    every step is c + h k with k an integer, so S_i = i c + h K_i for an
-    integer walk K and the corridor probability is exact; without a frame
-    it is sampled.  Each step adds an independent N(0, noise^2) part, as a
-    Gaussian spine does; such a family has no frame.
+    step at size n is conditioned on nu <= r_n.  Each step adds an
+    independent N(0, noise^2) part, as a Gaussian spine does.  The family's
+    ``frame`` is its steps' own ``models.lattice_frame`` (c, h), h > 0: every
+    step is c + h k with k an integer, so S_i = i c + h K_i for an integer
+    walk K and the corridor probability is exact.  Steps on no frame, and
+    every family with noise, are sampled.
 
-    ``lattice`` families take their steps' ``models.lattice_frame`` and are
-    never conditioned.  ``spine`` families take the tilted step of a centered
-    law; on product laws the count is independent of the step, so conditioning
-    only truncates a vanishing tail.  A law's frame (a, h) gives its spine
-    steps psi - t* u the frame (psi - t* a, -t* h); without one they have none.
+    ``lattice`` families must have a frame and are never conditioned.
+    ``spine`` families take the tilted step of a centered law; on product
+    laws the count is independent of the step, so conditioning only
+    truncates a vanishing tail.
     """
 
     atoms: tuple[np.ndarray, np.ndarray, np.ndarray]
-    frame: tuple[float, float] | None = None
+    _: KW_ONLY
     condition_nu: bool = False
     noise: float = 0.0
+
+    @cached_property
+    def frame(self) -> tuple[float, float] | None:
+        return None if self.noise > 0 else models.lattice_frame(self.atoms[0])
 
     @classmethod
     def lattice(cls, atoms) -> "ArraySpec":
         step = DiscreteFinite(tuple(atoms))
-        if (frame := models.lattice_frame(step.values)) is None:
+        arr = cls((step.values, np.zeros(len(step.atoms), dtype=np.int64), step.probs))
+        if arr.frame is None:
             raise ValueError("lattice family needs step values on a lattice a + h Z")
-        return cls((step.values, np.zeros(len(step.atoms), dtype=np.int64), step.probs), frame)
+        return arr
 
     @classmethod
     def lazy_walk(cls) -> "ArraySpec":
@@ -245,11 +251,8 @@ class ArraySpec:
 
     @classmethod
     def from_spine(cls, sp: SpineLaw, condition_nu: bool = True) -> "ArraySpec":
-        vl = sp.vlaw
-        frame = None if sp.noise else models.lattice_frame(models.intensity_atoms(vl.base)[0])
-        if frame is not None:
-            frame = (vl.psi_tstar - vl.t_star * frame[0], -vl.t_star * frame[1])
-        return cls((sp.s_values, sp.nu_values, sp.probs), frame, condition_nu, sp.noise)
+        return cls((sp.s_values, sp.nu_values, sp.probs),
+                   condition_nu=condition_nu, noise=sp.noise)
 
     def a_n(self, n: int) -> float:
         return float(np.cbrt(n))
@@ -303,25 +306,23 @@ def _corridor_prob(arr: ArraySpec, spec: CorridorSpec, n: int,
                    endpoint_b: float | None, replicates: int, seed: int):
     """(prob, endpoint_prob) of the corridor at size n.
 
-    On a frame (c, h), S_i in [lo, hi] iff K_i = (S_i - i c)/h lies between
+    On the frame (c, h), S_i in [lo, hi] iff K_i = (S_i - i c)/h lies between
     (lo - i c)/h and (hi - i c)/h; the integer bounds are chosen inward
     (ceil lower, floor upper) with a BOUNDARY_TOL snap so exact lattice hits
     stay inclusive, the endpoint window [edge, hi_n] maps the same way, and
     the integer-walk DP is exact.  Without a frame ``replicates`` paths are
     sampled level by level, _MC_CHUNK per stream, keeping each path's partial
-    sum and whether it has stayed inside.
+    sum and whether it has stayed inside, hits within BOUNDARY_TOL included.
     """
     a = arr.a_n(n)
     i = np.arange(1, n + 1)
     lo, hi = a * spec.g1(i / n), a * spec.g2(i / n)
     edge = None if endpoint_b is None else a * (float(spec.g2(1.0)) - endpoint_b)
     values, probs, _ = arr.step_pmf_at(n)
-    if arr.frame is not None:
-        c, h = arr.frame
+    if (frame := arr.frame) is not None:
+        c, h = frame
 
         def bounds(lo, hi, i):
-            if h < 0:   # K runs against S
-                lo, hi = hi, lo
             k = (np.ceil((lo - i * c) / h - BOUNDARY_TOL),
                  np.floor((hi - i * c) / h + BOUNDARY_TOL))
             if not all(np.all(np.abs(b) < 2.0 ** 63) for b in k):
@@ -338,10 +339,10 @@ def _corridor_prob(arr: ArraySpec, spec: CorridorSpec, n: int,
         s, ok = np.zeros(k), np.ones(k, dtype=bool)
         for j in range(n):
             s += models._draw_atoms(cdf, values, arr.noise, [k], [rng])[1]
-            ok &= (s >= lo[j]) & (s <= hi[j])
+            ok &= (s >= lo[j] - BOUNDARY_TOL) & (s <= hi[j] + BOUNDARY_TOL)
         hits += int(ok.sum())
         if edge is not None:
-            end_hits += int((ok & (s >= edge)).sum())
+            end_hits += int((ok & (s >= edge - BOUNDARY_TOL)).sum())
     return hits / replicates, None if edge is None else end_hits / replicates
 
 
@@ -351,9 +352,9 @@ def triangular_experiment(arr: ArraySpec, spec: CorridorSpec, n_list,
                           seed: int = 0) -> list[ExperimentRow]:
     """Finite-n corridor probabilities against the limiting constant.
 
-    Families with a frame (every ``lattice`` family, and a spine exactly
-    when its law is lattice) are evaluated exactly by the corridor DP;
-    otherwise the probability is sampled with ``mc_replicates`` paths.
+    Families on a frame (every ``lattice`` family, and a spine exactly when
+    its own steps are) are evaluated exactly by the corridor DP; otherwise
+    the probability is sampled with ``mc_replicates`` paths.
     Each row reports (a_n^2/n) log P next to the corridor constant and the
     closed-form witnesses of ``ArraySpec.witnesses_at`` (vanishing scaled
     mean, variance convergence); a scaled mean outside its regime only

@@ -2,6 +2,7 @@ import importlib
 import json
 import math
 import os
+import select
 import subprocess
 import sys
 import time
@@ -724,6 +725,51 @@ def test_helper_row_error_as_at_one_thread(tmp_path, capsys, monkeypatch):
         seen.append(capsys.readouterr())
     assert seen[0] == seen[1]
     assert seen[0].err == "grid exhausted: survival did not stabilize below n = 512\n"
+
+
+@pytest.mark.parametrize("late, failing, expected", [
+    # only this process's row raises
+    ("this process", {"this process"}, "row 1 in this process"),
+    # this process fails at a higher index than the helper does
+    ("this process", {"this process", "a helper"}, "row 0 in a helper"),
+    # this process fails at a lower index than the helper does
+    ("a helper", {"this process", "a helper"}, "row 0 in this process"),
+], ids=["only-this-process", "helper-lower", "this-process-lower"])
+def test_lowest_failing_row_wins_whichever_process_ran_it(monkeypatch, late, failing, expected):
+    # the late process claims nothing until task 0 has started, and task 0
+    # goes on only once task 1 has started, so the other process runs task 0
+    # and the late one task 1; a process in ``failing`` raises on the first
+    # row it runs.  Each start is a byte in a pipe both processes hold.
+    parent, claimed_rows = os.getpid(), cli._claimed_rows
+    started = [os.pipe(), os.pipe()]
+
+    def here():
+        return "this process" if os.getpid() == parent else "a helper"
+
+    def wait_for(t):
+        assert select.select([started[t][0]], [], [], 30.0)[0], f"task {t} never started"
+
+    def delayed(*args):
+        if here() == late:
+            wait_for(0)
+        return claimed_rows(*args)
+
+    def worker(t):
+        if t < 2:
+            os.write(started[t][1], b"x")
+        if t == 0:
+            wait_for(1)
+        if here() in failing:
+            raise ValueError(f"row {t} in {here()}")
+        return t
+    monkeypatch.setattr(cli, "_claimed_rows", delayed)
+    try:
+        with pytest.raises(ValueError, match=f"^{expected}$"):
+            cli._run_rows(list(range(4)), worker, 2)
+    finally:
+        for fd in (fd for pair in started for fd in pair):
+            os.close(fd)
+    _assert_no_children()
 
 
 def test_default_threads_count_the_usable_cpus(tmp_path, monkeypatch):

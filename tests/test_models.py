@@ -59,6 +59,12 @@ def test_fractional_child_count_rejected():
     assert ProductLaw(((2.0, 1.0),), step).offspring_pmf == ((2, 1.0),)
 
 
+@pytest.mark.parametrize("stddev", [0.0, -1.0, math.nan])
+def test_gaussian_needs_a_positive_stddev(stddev):
+    with pytest.raises(LawValidationError, match=r"^Gaussian: stddev must be > 0$"):
+        Gaussian(0.0, stddev)
+
+
 def test_probability_renormalization():
     law = BinaryBernoulli(0.3)
     assert mean_children(law) == 2.0
@@ -169,18 +175,34 @@ def test_structural_views(law_explicit):
     ([0.0, math.sqrt(2)], (0.0, math.sqrt(2))),
     ([-0.5, 0.5, 2.5], (-0.5, 1.0)),
     ([0.25], (0.25, 1.0)),
-    # a frame finer than every gap is not searched for
-    ([0.0, 0.4, 1.0], None),
+    # incommensurate values drive the search past MAX_FRAME_SPAN = 10^6 steps
+    ([0.0, 1.0, math.pi], None),
     ([0.0, 1.0, math.sqrt(2)], None),
     # near-commensurate: 1.0001 is 10,001 steps of its own gap (rounded)
     ([0.0, 1.0, 1.0001], None),
-    # at most MAX_FRAME_SPAN = 1,000 steps wide
     ([0.0, 0.5, 500.0], (0.0, 0.5)),
-    ([0.0, 0.5, 500.5], None),
+    # commensurate, but the gcd 1e-7 makes 10^7 steps
+    ([0.0, 0.3, 1.0000003], None),
     ([0.0, 0.001, 1.0], (0.0, 0.001)),
+    # a frame finer than every gap: Euclid takes 1 - 2 (0.4) for h
+    ([0.0, 0.4, 1.0], (0.0, 1.0 - 2 * 0.4)),
+    # at most MAX_FRAME_SPAN = 10^6 steps wide
+    ([0.0, 0.5, 500.5], (0.0, 0.5)),
+    ([0.0, 0.5, 500_000.0], (0.0, 0.5)),
+    ([0.0, 0.5, 500_000.5], None),
 ])
 def test_lattice_frame(values, frame):
     assert lattice_frame(np.array(values, dtype=np.float64)) == frame
+
+
+@pytest.mark.parametrize("u", [[0, 2, 5], [0, 1, 2000], [0, 1500, 3001], [-3, 0, 1, 7]])
+def test_lattice_frame_of_an_affine_image(u):
+    # integers u have the frame (0, 1) however their gaps fall; their image
+    # psi - t* u, as a spine's steps are, has the frame (psi - t* max u, t*)
+    psi, t = 1.234567, 0.7318275
+    a, h = lattice_frame(psi - t * np.array(u, dtype=np.float64))
+    assert a == pytest.approx(psi - t * max(u), rel=1e-15, abs=1e-12)
+    assert h == pytest.approx(t, rel=1e-12)
 
 
 @pytest.mark.parametrize("name", ["law_p03", "law_p0", "law_explicit", "law_gaussian",

@@ -179,8 +179,8 @@ def test_endpoint_variant_present_only_when_requested():
 def test_endpoint_window_above_the_corridor_is_empty(spine_p03, profile_p03):
     # b < 0 puts the window [a_n (g2(1) - b), a_n g2(1)] upside down, and it
     # must stay empty; at n = 512 the corridor top a_n = 8 is a lattice point,
-    # so a window read the other way round would hold S_n = 8.  On the spine
-    # frame the window is reflected to K bounds.
+    # so a window read the other way round would hold S_n = 8.  The spine
+    # frame maps the window to K bounds as the lazy walk's does.
     spec = CorridorSpec.from_functions(_flat(-1.0), _flat(1.0), profile_p03.sigma)
     for arr in (ArraySpec.lazy_walk(), ArraySpec.from_spine(spine_p03)):
         row, = triangular_experiment(arr, spec, [512], endpoint_b=-0.1)
@@ -291,12 +291,18 @@ def test_violation_warns_but_runs():
     assert len(rows) == 1  # still produced
 
 
+def _binary_product(atoms):
+    return ProductLaw(((2, 1.0),), DiscreteFinite(atoms))
+
+
 def test_spine_family_is_exact_iff_law_is_lattice(law_explicit):
-    # half-integer steps lie on the frame (0, 1/2); {0, 1, sqrt 2} on none
-    half = ProductLaw(((2, 1.0),), DiscreteFinite(((0.0, 0.7), (0.5, 0.3))))
-    irrational = ProductLaw(((2, 1.0),), DiscreteFinite(
-        ((0.0, 0.5), (1.0, 0.3), (math.sqrt(2), 0.2))))
-    for law, method in ((law_explicit, "dp"), (half, "dp"), (irrational, "mc")):
+    # half-integer steps lie on the frame (0, 1/2); {0, 1, sqrt 2} on none.
+    # The spine steps psi - t* u of {0, 2, 5} have the gaps 2 t* and 3 t*,
+    # and their frame step is the gcd t*
+    half = _binary_product(((0.0, 0.7), (0.5, 0.3)))
+    gaps = _binary_product(((0, 0.5), (2, 0.3), (5, 0.2)))
+    irrational = _binary_product(((0.0, 0.5), (1.0, 0.3), (math.sqrt(2), 0.2)))
+    for law, method in ((law_explicit, "dp"), (half, "dp"), (gaps, "dp"), (irrational, "mc")):
         prof = solve_tstar(law)
         arr = ArraySpec.from_spine(make_spine(make_vlaw(law, prof)))
         spec = CorridorSpec.from_functions(_flat(-1.0), _flat(1.0), prof.sigma)
@@ -305,15 +311,33 @@ def test_spine_family_is_exact_iff_law_is_lattice(law_explicit):
         assert 0.0 < row.prob < 1.0
 
 
+@pytest.mark.parametrize("atoms, prob", [
+    (((0, 0.5), (2, 0.3), (5, 0.2)), 1.0532283424208035e-05),
+    # 2,000 steps of t* wide
+    (((0, 0.5), (1, 0.3), (2000, 0.2)), 3.034006312228677e-06),
+])
+def test_spine_of_an_integer_law_runs_the_dp(atoms, prob):
+    # frozen from the DP on the law's own integer frame (0, 1), whose spine
+    # walk psi - t* U is the reflection of the K walk on the steps' frame
+    prof = solve_tstar(law := _binary_product(atoms))
+    arr = ArraySpec.from_spine(make_spine(make_vlaw(law, prof)))
+    spec = CorridorSpec.from_functions(_flat(-1.0), _flat(1.0), prof.sigma)
+    row, = triangular_experiment(arr, spec, [1000], mc_replicates=1)
+    assert row.method == "dp"
+    assert row.prob == pytest.approx(prob, rel=1e-13)
+
+
 def test_framed_spine_against_enumeration():
-    # steps {0, 1/2}: the spine walk S_i = i psi - t* U_i lives on the frame
-    # (psi, -t*/2); the corridor DP on it against all 2^n spine paths
+    # steps {0, 1/2}: the spine steps psi - t* u are {psi - t*/2, psi}, on
+    # their own frame (psi - t*/2, t*/2); the corridor DP on it against all
+    # 2^n spine paths
     from itertools import product as iproduct
     law = ProductLaw(((2, 1.0),), DiscreteFinite(((0.0, 0.7), (0.5, 0.3))))
     prof = solve_tstar(law)
     sp = make_spine(make_vlaw(law, prof))
     arr = ArraySpec.from_spine(sp)
-    assert arr.frame == (prof.psi_tstar, -prof.t_star * 0.5)
+    assert arr.frame == pytest.approx((prof.psi_tstar - prof.t_star * 0.5, prof.t_star * 0.5),
+                                      rel=1e-12)
     spec = CorridorSpec.from_functions(_flat(-1.0), _flat(1.0), prof.sigma)
     n = 12
     row, = triangular_experiment(arr, spec, [n])
@@ -324,6 +348,67 @@ def test_framed_spine_against_enumeration():
         if np.all((s >= -row.a_n - 1e-9) & (s <= row.a_n + 1e-9)):
             total += math.prod(sp.probs[list(idx)])
     assert row.prob == pytest.approx(total, rel=1e-12)
+
+
+def _bare(values, probs):
+    """A family built with the constructor alone, which reads its frame off
+    its steps."""
+    return ArraySpec((np.asarray(values, dtype=np.float64),
+                      np.zeros(len(values), dtype=np.int64), np.asarray(probs)))
+
+
+def test_frame_is_read_off_the_steps():
+    # steps of +-0.4 lie on the frame (-0.4, 0.8): a +-1 walk W = S / 0.4,
+    # and |S_i| <= a_n = 10 at n = 1000 is |W_i| <= 25, exact hits included
+    arr = _bare((-0.4, 0.4), (0.5, 0.5))
+    assert arr.frame == pytest.approx((-0.4, 0.8), rel=1e-15)
+    row, = triangular_experiment(arr, CorridorSpec.from_functions(_flat(-1.0), _flat(1.0), 0.4),
+                                 [1000])
+    assert row.method == "dp"
+    ref = corridor_series((0.5, 0.0, 0.5), -25, 25, 1000)
+    assert abs(row.prob - ref) <= 1e-14 * ref
+    # the frame is no argument: the old call (atoms, frame) is refused
+    with pytest.raises(TypeError):
+        ArraySpec(arr.atoms, (0.0, 1.0))
+    noisy = ArraySpec(arr.atoms, noise=0.1)
+    assert noisy.frame is None
+
+
+def test_every_frame_has_a_positive_step(spine_p03, law_explicit):
+    # K = (S - i a) / h counts up as S does, for every family
+    half = _binary_product(((0.0, 0.7), (0.5, 0.3)))
+    gaps = _binary_product(((0, 0.5), (2, 0.3), (5, 0.2)))
+    spines = [ArraySpec.from_spine(spine_p03)] + [
+        ArraySpec.from_spine(make_spine(make_vlaw(law, solve_tstar(law))))
+        for law in (half, gaps, law_explicit)]
+    families = [ArraySpec.lazy_walk(), ArraySpec.lattice(((-0.5, 0.5), (0.5, 0.5))),
+                _bare((-0.4, 0.4), (0.5, 0.5))] + spines
+    for arr in families:
+        a, h = arr.frame
+        assert h > 0.0
+        k = (arr.atoms[0] - a) / h
+        assert np.all(np.abs(k - np.rint(k)) < 1e-9)
+
+
+def test_sampled_corridor_keeps_exact_hits_inclusive(monkeypatch):
+    # 12.5 steps of 0.4 reach the corridor edge a_n = 5 at n = 125 only up to
+    # rounding.  {-1, -0.4, 0, 0.4, 1} on its frame (-1, 0.2) runs the DP, as
+    # its x5 image {-5, -2, 0, 2, 5} on the strip of half-width 5 a_n does;
+    # sampled, a hit must stay inside just as it does there
+    values, probs = (-1.0, -0.4, 0.0, 0.4, 1.0), (0.2,) * 5
+    spec = CorridorSpec.from_functions(_flat(-1.0), _flat(1.0), 1.0)
+    reps, n = 200_000, 125
+    dp, = triangular_experiment(_bare(values, probs), spec, [n])
+    scaled = ArraySpec.lattice(tuple((5 * v, p) for v, p in zip(values, probs)))
+    ref, = triangular_experiment(scaled, CorridorSpec.from_functions(_flat(-5.0), _flat(5.0), 1.0),
+                                 [n])
+    assert (dp.method, ref.method) == ("dp", "dp")
+    assert abs(dp.prob - ref.prob) <= 1e-13 * ref.prob
+    monkeypatch.setattr(ArraySpec, "frame", property(lambda self: None))
+    mc, = triangular_experiment(_bare(values, probs), spec, [n], mc_replicates=reps, seed=3)
+    assert mc.method == "mc"
+    se = math.sqrt(ref.prob * (1.0 - ref.prob) / reps)
+    assert abs(mc.prob - ref.prob) < 4.0 * se
 
 
 def test_half_integer_lattice_family_is_the_scaled_walk():

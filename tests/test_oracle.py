@@ -191,6 +191,18 @@ def _binary_step(atoms):
     return ProductLaw(((2, 1.0),), DiscreteFinite(atoms))
 
 
+def test_frame_finer_than_every_gap_has_the_integer_laws_rho():
+    # {0, 0.4, 1} is 0.2 {0, 2, 5}: neither gap is a multiple of the other
+    plain = LatticeLaw.from_law(law := _binary_step(((0, 0.5), (2, 0.3), (5, 0.2))))
+    framed = LatticeLaw.from_law(fine := _binary_step(((0.0, 0.5), (0.4, 0.3), (1.0, 0.2))))
+    assert framed.frame == pytest.approx((0.0, 0.2), rel=1e-15)
+    assert framed.step_values == plain.step_values == (0, 2, 5)
+    for slope, n in ((0.1, 6), (0.05, 40)):
+        rho = exact_path_survival(plain, n, BarrierSpec("V", slope).u_line(solve_tstar(law)))
+        got = exact_path_survival(framed, n, BarrierSpec("V", slope).u_line(solve_tstar(fine)))
+        assert rho > 0.0 and abs(got - rho) <= 1e-14 * rho
+
+
 @pytest.mark.parametrize("a, h", [(0.0, 0.5), (-0.3, 1.0), (0.0, math.sqrt(2)), (0.25, 3.0)])
 def test_framed_law_has_the_integer_laws_rho(a, h):
     # U = a i + h K: in K the law is the integer law, and a V line does not
@@ -269,6 +281,11 @@ def test_corridor_parity_pin():
 
 def test_corridor_empty_level_is_zero():
     assert exact_corridor_walk([-1, 1], [0.5, 0.5], [2, 0], [1, 3]) == (0.0, None)
+
+
+def test_corridor_bounds_of_unequal_length_are_refused():
+    with pytest.raises(ValueError, match=r"^corridor arrays must have equal length$"):
+        exact_corridor_walk([-1, 1], [0.5, 0.5], [-1, -1, -1], [1, 1])
 
 
 def test_corridor_endpoint_window():

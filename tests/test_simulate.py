@@ -87,6 +87,17 @@ def test_replicate_floor(vlaw_p03):
         estimate_rho(vlaw_p03, BarrierSpec("V", 0.1), 5, 99, seed=1)
 
 
+@pytest.mark.parametrize("cap", [0.5, 0, math.nan])
+def test_escape_cap_below_one_is_refused(vlaw_p03, cap):
+    with pytest.raises(ValueError, match=r"^escape_cap must be >= 1 \(may be math.inf\)$"):
+        escape_cap_sweep(vlaw_p03, BarrierSpec("V", 0.1), 6, 1_000, (4, cap), seed=1)
+
+
+def test_M_kappa_needs_one_generation(vlaw_p03):
+    with pytest.raises(ValueError, match=r"^j_max must be >= 1$"):
+        estimate_M_kappa(vlaw_p03, j_max=0)
+
+
 @pytest.mark.parametrize("slope", [0.1, math.nan, -0.5])
 def test_bare_slope_is_not_a_barrier(vlaw_p03, slope):
     # the line must come through BarrierSpec, whose check refuses NaN and -0.5

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 
 from conftest import default_library, enumerated_leaf_sum
 from kbrw.analysis import solve_tstar
+from kbrw.errors import CertificationError
 from kbrw.models import DiscreteFinite, ExplicitFinite, Gaussian, ProductLaw
 from kbrw.oracle import exact_corridor_walk
 from kbrw.rng import replicate_stream
@@ -33,6 +35,29 @@ def test_spine_moments_certified(spine_p03, profile_p03):
     assert abs(spine_p03.s_mean) < 1e-12
     assert abs(spine_p03.s_var - profile_p03.sigma2) < 1e-10
     assert spine_p03.s_var == pytest.approx(0.854, abs=5e-4)
+
+
+def test_spine_certificates_refuse_a_profile_of_another_law(vlaw_p03):
+    # t* 1% off moves the tilted mean off 0; sigma^2 1% off leaves the mean
+    # at 0 and misses the second moment
+    prof = vlaw_p03.profile
+    for profile, message in (
+            (dataclasses.replace(prof, t_star=prof.t_star * 1.01), r"^spine step mean .* is not 0$"),
+            (dataclasses.replace(prof, sigma2=prof.sigma2 * 1.01),
+             r"^spine step second moment .* != sigma\^2 .*$")):
+        with pytest.raises(CertificationError, match=message):
+            make_spine(dataclasses.replace(vlaw_p03, profile=profile))
+
+
+def test_unknown_functional_id_is_refused():
+    with pytest.raises(ValueError, match=r"^unknown functional id 'no_such_id'$"):
+        functional("no_such_id")
+
+
+def test_exact_leaf_sum_needs_finite_displacements(law_gaussian):
+    vlaw = make_vlaw(law_gaussian, solve_tstar(law_gaussian))
+    with pytest.raises(ValueError, match=r"^the exact value needs finite displacement support$"):
+        expected_leaf_sum_exact(vlaw, 3, functional("one"))
 
 
 def test_size_bias_of_constant_is_constant(spine_p03):
