@@ -61,64 +61,58 @@ CSV_SCHEMA_VERSION = "kbrw.v2"
 # ---------------------------------------------------------------------------
 # config schema
 
+def _kind(name: str, *required: str, **properties) -> dict:
+    """One alternative of a ``oneOf``: an object whose ``type`` is ``name``,
+    that has the ``required`` keys, may have the other ``properties``, and
+    has no other key."""
+    return {"type": "object", "properties": {"type": {"const": name}, **properties},
+            "required": ["type", *required], "additionalProperties": False}
+
+
 # (value, probability) pairs of a finite step law
 _ATOMS_SCHEMA = {"type": "array", "minItems": 2,
                  "items": {"type": "array", "minItems": 2, "maxItems": 2,
                            "items": {"type": "number"}}}
 
-_STEP_SCHEMA = {
-    "oneOf": [
-        {"type": "object",
-         "properties": {"type": {"const": "discrete"}, "atoms": _ATOMS_SCHEMA},
-         "required": ["type", "atoms"], "additionalProperties": False},
-        {"type": "object",
-         "properties": {"type": {"const": "gaussian"},
-                        "mean": {"type": "number"},
-                        "stddev": {"type": "number", "exclusiveMinimum": 0}},
-         "required": ["type", "mean", "stddev"], "additionalProperties": False},
-    ]
-}
+_STEP_SCHEMA = {"oneOf": [
+    _kind("discrete", "atoms", atoms=_ATOMS_SCHEMA),
+    _kind("gaussian", "mean", "stddev", mean={"type": "number"},
+          stddev={"type": "number", "exclusiveMinimum": 0}),
+]}
 
-LAW_SCHEMA = {
-    "oneOf": [
-        {"type": "object",
-         "properties": {"type": {"const": "binary_bernoulli"},
-                        "p": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}},
-         "required": ["type", "p"], "additionalProperties": False},
-        {"type": "object",
-         "properties": {"type": {"const": "product"},
-                        "offspring_pmf": {"type": "array", "minItems": 1,
-                                          "items": {"type": "array", "minItems": 2, "maxItems": 2,
-                                                    "prefixItems": [
-                                                        {"type": "integer", "minimum": 0},
-                                                        {"type": "number"}]}},
-                        "step": _STEP_SCHEMA},
-         "required": ["type", "offspring_pmf", "step"], "additionalProperties": False},
-        {"type": "object",
-         "properties": {"type": {"const": "explicit"},
-                        "outcomes": {"type": "array", "minItems": 1,
-                                     "items": {"type": "array", "minItems": 2, "maxItems": 2,
-                                               "prefixItems": [
-                                                   {"type": "array",
-                                                    "items": {"type": "number"}},
-                                                   {"type": "number"}]}}},
-         "required": ["type", "outcomes"], "additionalProperties": False},
-    ]
-}
+# the one law pemantle takes
+_BINARY_LAW_SCHEMA = _kind(
+    "binary_bernoulli", "p",
+    p={"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1})
 
-_BOUNDARY_SCHEMA = {
-    "oneOf": [
-        {"type": "object",
-         "properties": {"type": {"const": "affine"},
-                        "intercept": {"type": "number"}, "slope": {"type": "number"}},
-         "required": ["type", "intercept"], "additionalProperties": False},
-        {"type": "object",
-         "properties": {"type": {"const": "samples"},
-                        "values": {"type": "array", "minItems": 2,
-                                   "items": {"type": "number"}}},
-         "required": ["type", "values"], "additionalProperties": False},
-    ]
-}
+LAW_SCHEMA = {"oneOf": [
+    _BINARY_LAW_SCHEMA,
+    _kind("product", "offspring_pmf", "step",
+          offspring_pmf={"type": "array", "minItems": 1,
+                         "items": {"type": "array", "minItems": 2, "maxItems": 2,
+                                   "prefixItems": [{"type": "integer", "minimum": 0},
+                                                   {"type": "number"}]}},
+          step=_STEP_SCHEMA),
+    _kind("explicit", "outcomes",
+          outcomes={"type": "array", "minItems": 1,
+                    "items": {"type": "array", "minItems": 2, "maxItems": 2,
+                              "prefixItems": [{"type": "array", "items": {"type": "number"}},
+                                              {"type": "number"}]}}),
+]}
+
+_BOUNDARY_SCHEMA = {"oneOf": [
+    _kind("affine", "intercept", intercept={"type": "number"}, slope={"type": "number"}),
+    _kind("samples", "values",
+          values={"type": "array", "minItems": 2, "items": {"type": "number"}}),
+]}
+
+# a mogulskii family: only a lattice family has atoms, and only a spine
+# family is conditioned
+_FAMILY_SCHEMA = {"oneOf": [
+    _kind("lazy"),
+    _kind("lattice", "atoms", atoms=_ATOMS_SCHEMA),
+    _kind("spine", condition_nu={"type": "boolean"}),
+]}
 
 # entries every command shares; analyze runs under no time budget
 _SHARED = {"law": LAW_SCHEMA, "seed": {"type": "integer"},
@@ -130,6 +124,7 @@ def _command_schema(required: list[str], **properties) -> dict:
             "required": required, "additionalProperties": False}
 
 
+# what each command accepts: every key a command reads, and no other
 CONFIG_SCHEMAS = {
     "analyze": _command_schema(["law"], time_budget_s=False),
     "survival": _command_schema(
@@ -142,6 +137,7 @@ CONFIG_SCHEMAS = {
         record_runtime={"type": "boolean"}),
     "pemantle": _command_schema(
         ["law", "eps_grid"],
+        law=_BINARY_LAW_SCHEMA,
         eps_grid={"type": "array", "minItems": 1,
                   "items": {"type": "number", "exclusiveMinimum": 0}},
         rel_tol={"type": "number", "exclusiveMinimum": 0},
@@ -155,19 +151,12 @@ CONFIG_SCHEMAS = {
                            "sigma": {"type": "number", "exclusiveMinimum": 0}},
             "required": ["g1", "g2", "sigma"], "additionalProperties": False,
         },
-        family={
-            "type": "object",
-            "properties": {"type": {"enum": ["lazy", "lattice", "spine"]},
-                           "atoms": _ATOMS_SCHEMA,
-                           "condition_nu": {"type": "boolean"}},
-            "required": ["type"], "additionalProperties": False,
-            "if": {"properties": {"type": {"const": "lattice"}}},
-            "then": {"required": ["atoms"]},
-        },
+        family=_FAMILY_SCHEMA,
         n_list={"type": "array", "minItems": 1, "items": {"type": "integer", "minimum": 2}},
         endpoint_b={"type": ["number", "boolean"], "exclusiveMinimum": 0},
         mc_replicates={"type": "integer", "minimum": 1000000}),
 }
+
 
 def _is_type(value, name: str) -> bool:
     """JSON types: a bool is not a number, and 2.0 is an integer."""
@@ -235,13 +224,6 @@ def _check(schema, value, path: str = "config") -> None:
                 errors.append(str(exc))
         if len(errors) == len(schema["oneOf"]):
             fail(f"fits none of the alternatives ({'; '.join(errors)})")
-    if "if" in schema:
-        try:
-            _check(schema["if"], value, path)
-        except ValueError:
-            pass
-        else:
-            _check(schema["then"], value, path)
 
 
 def law_from_config(obj: dict) -> OffspringLaw:
@@ -257,13 +239,13 @@ def law_from_config(obj: dict) -> OffspringLaw:
     return ExplicitFinite(tuple((tuple(ds), p) for ds, p in obj["outcomes"]))
 
 
-def _boundary_from_config(obj: dict):
+def _breakpoints(obj: dict) -> tuple[np.ndarray, np.ndarray]:
+    """(t, g(t)) at the breakpoints of a configured boundary, which is linear
+    between them: 0 and 1 for an affine one, the sample times for ``samples``."""
     if obj["type"] == "affine":
-        a, b = obj["intercept"], obj.get("slope", 0.0)
-        return lambda t: a + b * t
-    values = np.asarray(obj["values"], dtype=np.float64)
-    ts = np.linspace(0.0, 1.0, values.size)
-    return lambda t: float(np.interp(t, ts, values))
+        a = obj["intercept"]
+        return np.array([0.0, 1.0]), np.array([a, a + obj.get("slope", 0.0)])
+    return np.linspace(0.0, 1.0, len(obj["values"])), np.asarray(obj["values"], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +458,6 @@ def _pemantle_row(ll, profile, rel_tol: float, n_start: int, n_max: int, eps_u: 
 
 def cmd_pemantle(config: dict, threads: int | None):
     n_start, n_max = int(config.get("n_start", 128)), int(config.get("n_max", 1 << 18))
-    if config["law"]["type"] != "binary_bernoulli":
-        raise LawValidationError("pemantle command needs a binary_bernoulli law")
     vlaw = _certified(config)
     law = vlaw.base
     worker = functools.partial(_pemantle_row, oracle.LatticeLaw.from_law(law), vlaw.profile,
@@ -499,17 +479,20 @@ def cmd_pemantle(config: dict, threads: int | None):
 
 def cmd_mogulskii(config: dict, threads: int | None):
     from . import mogulskii, spine     # only this command runs them
-    cor = config["corridor"]
-    spec = mogulskii.CorridorSpec.from_functions(
-        _boundary_from_config(cor["g1"]), _boundary_from_config(cor["g2"]), cor["sigma"])
-    fam = config["family"]
+    cor, fam = config["corridor"], config["family"]
+    if ("law" in config) != (fam["type"] == "spine"):
+        raise ValueError("a spine family needs a 'law' entry in the config, "
+                         "and no other family takes one")
+    # stored at both boundaries' breakpoints, the corridor is the configured polyline
+    g1, g2 = _breakpoints(cor["g1"]), _breakpoints(cor["g2"])
+    ts = np.union1d(g1[0], g2[0])
+    spec = mogulskii.CorridorSpec(tuple(ts.tolist()), tuple(np.interp(ts, *g1).tolist()),
+                                  tuple(np.interp(ts, *g2).tolist()), float(cor["sigma"]))
     if fam["type"] == "lazy":
         arr = mogulskii.ArraySpec.lazy_walk()
     elif fam["type"] == "lattice":
         arr = mogulskii.ArraySpec.lattice(tuple((v, p) for v, p in fam["atoms"]))
     else:
-        if "law" not in config:
-            raise ValueError("spine family needs a 'law' entry in the config")
         arr = mogulskii.ArraySpec.from_spine(spine.make_spine(_certified(config)),
                                              condition_nu=fam.get("condition_nu", True))
     # the corridor constant scales with sigma, so sigma must be the walk's own
@@ -591,9 +574,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.threads is not None and args.threads < 1:
         print(f"--threads must be at least 1, not {args.threads}", file=sys.stderr)
-        return EXIT_VALIDATION
-    if args.escape_cap is not None and args.command != "survival":
-        print("--escape-cap applies only to survival", file=sys.stderr)
         return EXIT_VALIDATION
     # an output path that cannot be created would fail only after all the work
     if args.out is not None and (os.path.isdir(args.out)

@@ -25,7 +25,7 @@ from .spine import SpineLaw
 from .stats import chunked_mean, closed_cdf, replicate_chunks
 
 SERIES_TOL = 1e-14      # series truncation for the strip probability
-N_SAMPLES = 1024        # boundary functions stored as dense samples
+N_SAMPLES = 1024        # times at which from_functions samples a boundary
 # paths per random stream in the two Monte Carlo estimators; changing either
 # changes which stream a path reads, and so every estimate
 _BM_CHUNK = 20_000
@@ -36,9 +36,12 @@ _MC_CHUNK = 65_536
 class CorridorSpec:
     """Continuous corridor (g1, g2) on [0,1] plus the diffusion scale.
 
-    Boundaries are stored as dense samples with linear interpolation;
-    continuity is all the limit statement needs, and an affine boundary is
-    its own interpolant.
+    Both boundaries are stored at the times ``ts`` and are linear between
+    them.  The CLI stores a configured corridor at the union of its
+    boundaries' breakpoints, so the stored polyline is the configured one;
+    ``from_functions`` samples callables at N_SAMPLES equally spaced times,
+    where continuity is all the limit statement needs and an affine
+    boundary is its own interpolant.
     """
 
     ts: tuple[float, ...]

@@ -258,6 +258,12 @@ def exact_corridor_walk(step_values, step_probs, lower, upper,
     transfer matrix.  Returns ``(prob, endpoint_prob)``: the second value further restricts
     S_n to the window ``endpoint`` and is read off the same pass, or is
     None when no window is given.
+
+    Exact for the step probabilities as the doubles it is given, up to
+    rounding of about 2e-18 n relative.  Those doubles are the walk that
+    runs: the lazy walk's fl(1/3) loses 1 - 3 fl(1/3) ~ 5.55e-17 of mass
+    per level, so at n = 10^5 its probabilities sit 5.7e-12 relative below
+    those of the walk with exact thirds.
     """
     steps = [int(y) for y in np.asarray(step_values, dtype=np.int64)]
     probs = [float(q) for q in np.asarray(step_probs, dtype=np.float64)]

@@ -8,13 +8,15 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kbrw import cli
 from kbrw.analysis import solve_tstar
 from kbrw.cli import (EXIT_NO_CRITICAL_POINT, EXIT_OK, EXIT_VALIDATION, _fmt,
                       law_from_config, main)
-from kbrw.models import BinaryBernoulli, ExplicitFinite, ProductLaw
+from kbrw.models import BOUNDARY_TOL, BinaryBernoulli, ExplicitFinite, ProductLaw
+from kbrw.oracle import exact_corridor_walk
 
 P0 = 0.0669872981077807
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -124,11 +126,12 @@ def test_percolation_exit_code_survival_and_mogulskii(tmp_path, command, extra):
     ("analyze", "analyze_binary.json"), ("pemantle", "pemantle_binary.json"),
     ("mogulskii", "mogulskii_lazy.json")])
 def test_escape_cap_only_for_survival(command, config, capsys):
-    # the flag was once dropped silently outside survival
+    # the flag was once dropped silently outside survival; it lands in the
+    # config, whose schema admits escape_cap for survival alone
     assert main([command, "--config", str(CONFIGS / config), "--escape-cap", "5"]) \
         == EXIT_VALIDATION
     out, err = capsys.readouterr()
-    assert out == "" and "--escape-cap applies only to survival" in err
+    assert out == "" and "config.escape_cap" in err
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -569,6 +572,30 @@ def test_mogulskii_samples_boundary_and_lattice_family(tmp_path):
     assert len(data[0]) == 3 and data[0] == data[1]
 
 
+def test_mogulskii_samples_boundary_keeps_its_breakpoints(tmp_path):
+    # breakpoints at t = 1/4, 1/2 and 3/4 lie on no grid of 1024 samples;
+    # resampled on one, g1(1/4) read -0.50073 and the n = 1000 prob 3.58091e-05
+    values = [-1, -0.5, -1, -0.2, -1]
+    config = {**_mog_config(), "n_list": [1000]}
+    config["corridor"]["g1"] = {"type": "samples", "values": values}
+    out = tmp_path / "kinks.csv"
+    assert main(["mogulskii", "--config", _write(tmp_path, "kinks.json", config),
+                 "--out", str(out)]) == EXIT_OK
+    row, = _read_rows(out)
+    # the width is linear on each quarter, which adds dt / (w0 w1) to the
+    # integral of 1 / width^2; sigma^2 = 2/3
+    widths = [1 - v for v in values]
+    integral = sum(0.25 / (w0 * w1) for w0, w1 in zip(widths, widths[1:]))
+    assert float(row["target_constant"]) == pytest.approx(-math.pi ** 2 / 3 * integral,
+                                                          rel=1e-14)
+    # the lazy walk's DP between the polyline's own integer bounds at a_n = 10
+    i = np.arange(1, 1001)
+    lower = np.ceil(10 * np.interp(i / 1000, np.linspace(0, 1, 5), values) - BOUNDARY_TOL)
+    prob, _ = exact_corridor_walk([-1, 0, 1], [1 / 3] * 3, lower.astype(np.int64),
+                                  np.full(1000, 10))
+    assert float(row["prob"]) == pytest.approx(prob, rel=1e-12)
+
+
 def test_mogulskii_endpoint_b_false_same_as_missing(tmp_path):
     data = []
     for name, extra in (("missing", {}), ("false", {"endpoint_b": False})):
@@ -586,6 +613,44 @@ def test_mogulskii_spine_family_needs_law(tmp_path, capsys):
     assert main(["mogulskii", "--config", _write(tmp_path, "sl.json", config)]) \
         == EXIT_VALIDATION
     assert "needs a 'law'" in capsys.readouterr().err
+
+
+_LAZY_ATOMS = [[-1, 1 / 3], [0, 1 / 3], [1, 1 / 3]]
+_BINARY_SPINE_SIGMA = 0.9242681210027041
+
+
+@pytest.mark.parametrize("family, extra", [
+    ({"type": "lazy"}, {"law": {"type": "binary_bernoulli", "p": 0.3}}),
+    # a percolating law, atoms and condition_nu: the lazy walk once ran and
+    # ignored all three
+    ({"type": "lazy", "atoms": _LAZY_ATOMS, "condition_nu": False},
+     {"law": {"type": "binary_bernoulli", "p": 0.9}}),
+    ({"type": "lattice", "atoms": _LAZY_ATOMS, "condition_nu": False}, {}),
+    ({"type": "spine", "atoms": _LAZY_ATOMS}, {"law": {"type": "binary_bernoulli", "p": 0.3}}),
+], ids=["lazy-law", "lazy-atoms-law", "lattice-condition_nu", "spine-atoms"])
+def test_mogulskii_family_takes_only_its_own_keys(tmp_path, capsys, family, extra):
+    # sigma is the walk's own, so only the family's keys can refuse the config
+    config = {**_mog_config(), "family": family, **extra}
+    if family["type"] == "spine":
+        config["corridor"]["sigma"] = _BINARY_SPINE_SIGMA
+    out = tmp_path / "fk.csv"
+    assert main(["mogulskii", "--config", _write(tmp_path, "fk.json", config),
+                 "--out", str(out)]) == EXIT_VALIDATION
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert ("needs a 'law'" if list(family) == ["type"] else "bad config: config.family") in err
+
+
+def test_pemantle_takes_only_a_binary_law(tmp_path, capsys):
+    config = {"law": {"type": "product", "offspring_pmf": [[2, 1.0]],
+                      "step": {"type": "discrete", "atoms": [[0, 0.7], [1, 0.3]]}},
+              "eps_grid": [0.05]}
+    out = tmp_path / "pb.csv"
+    assert main(["pemantle", "--config", _write(tmp_path, "pb.json", config),
+                 "--out", str(out)]) == EXIT_VALIDATION
+    assert not out.exists()
+    assert "bad config: config.law.type: 'product' is not 'binary_bernoulli'" \
+        in capsys.readouterr().err
 
 
 def test_mogulskii_lattice_family_needs_atoms_on_a_frame(tmp_path, capsys):
@@ -832,23 +897,22 @@ def test_cli_starts_blas_on_one_thread():
     assert out.split()[0] == "2"
 
 
-def _schema_keywords(schema):
-    """Every keyword used in ``schema``, at any depth."""
+def _subschemas(schema):
+    """``schema`` and every object schema inside it, at any depth."""
     if not isinstance(schema, dict):
-        return set()
-    found = set(schema)
+        return
+    yield schema
     for key, sub in schema.items():
         if key == "properties":
             subs = sub.values()
         elif key in ("oneOf", "prefixItems"):
             subs = sub
-        elif key in ("items", "additionalProperties", "if", "then"):
+        elif key in ("items", "additionalProperties"):
             subs = [sub]
         else:
             subs = []
         for s in subs:
-            found |= _schema_keywords(s)
-    return found
+            yield from _subschemas(s)
 
 
 def test_check_reads_every_keyword_the_schemas_use():
@@ -857,9 +921,18 @@ def test_check_reads_every_keyword_the_schemas_use():
     handled = {"type", "properties", "required", "additionalProperties",
                "items", "prefixItems", "minItems", "maxItems",
                "const", "enum", "minimum", "exclusiveMinimum", "exclusiveMaximum",
-               "oneOf", "if", "then"}
-    used = set().union(*map(_schema_keywords, cli.CONFIG_SCHEMAS.values()))
-    assert used == handled
+               "oneOf"}
+    subschemas = [s for schema in cli.CONFIG_SCHEMAS.values() for s in _subschemas(schema)]
+    assert set().union(*subschemas) == handled
+    # _check passes a oneOf when some alternative passes; that is JSON
+    # Schema's "exactly one" only while no value can pass two, which holds
+    # when every alternative requires its own string type const
+    for schema in subschemas:
+        if "oneOf" in schema:
+            consts = [alt["properties"]["type"]["const"] for alt in schema["oneOf"]]
+            assert all("type" in alt["required"] for alt in schema["oneOf"]), schema
+            assert all(isinstance(c, str) for c in consts), consts
+            assert len(set(consts)) == len(consts), consts
 
 
 # configs the suite above rejects or accepts for their schema, by command
@@ -880,11 +953,19 @@ _SCHEMA_CASES = [
     ("survival", {**_survival_config(), "seed": True}),
     ("pemantle", {"law": {"type": "binary_bernoulli", "p": 0.3}, "eps_grid": [0.05],
                   "n_start": 128.0, "n_max": 3}),
+    ("pemantle", {"law": {"type": "product", "offspring_pmf": [[2, 1.0]],
+                          "step": {"type": "discrete", "atoms": [[0, 0.7], [1, 0.3]]}},
+                  "eps_grid": [0.05]}),
     ("mogulskii", {**_mog_config(), "family": {"type": "lattice", "atoms": [1, 2]}}),
     ("mogulskii", {**_mog_config(), "family": {"type": "lattice",
                                                "atoms": [[None, 0.5], [1, 0.5]]}}),
     ("mogulskii", {**_mog_config(), "family": {"type": "lattice"}}),
     ("mogulskii", {**_mog_config(), "family": {"type": "spine", "condition_nu": True}}),
+    ("mogulskii", {**_mog_config(), "family": {"type": "lazy", "atoms": [[-1, 0.5], [1, 0.5]]}}),
+    ("mogulskii", {**_mog_config(), "family": {"type": "lattice", "condition_nu": False,
+                                               "atoms": [[-1, 0.5], [1, 0.5]]}}),
+    ("mogulskii", {**_mog_config(), "family": {"type": "spine",
+                                               "atoms": [[-1, 0.5], [1, 0.5]]}}),
     ("mogulskii", {**_mog_config(), "endpoint_b": -0.1}),
     ("mogulskii", {**_mog_config(), "endpoint_b": 0}),
     ("mogulskii", {**_mog_config(), "endpoint_b": True}),
