@@ -292,18 +292,20 @@ def brood_sampler(law: OffspringLaw):
     """The law's brood sampler ``sample(ends, rngs) -> (counts, flat)``.
 
     Stream ``rngs[i]`` draws broods ``ends[i - 1] .. ends[i] - 1`` (from 0
-    for i = 0).  ``counts`` holds every brood's size and ``flat`` the child
-    displacements, both in brood order.  Each stream draws exactly what it
-    would draw alone, in the same order: its count uniforms, then its normal
-    parts, then its atom uniforms.  So broods do not depend on which streams
-    are sampled together.  The sampling tables are built once per law.
+    for i = 0).  ``counts`` holds every brood's size in brood order, or is
+    one int where every brood has that size (the binary law), and ``flat``
+    holds the child displacements in brood order, in a buffer of its own.
+    Each stream draws exactly what it would draw alone, in the same order:
+    its count uniforms, then its normal parts, then its atom uniforms.  So
+    broods do not depend on which streams are sampled together.  The
+    sampling tables are built once per law.
     """
     if isinstance(law, BinaryBernoulli):
         p = law.p
 
         def sample(ends, rngs):
             u = _stream_draws("random", [2 * e for e in ends], rngs)
-            return np.full(ends[-1], 2, dtype=np.int64), (u < p).astype(np.float64)
+            return 2, np.less(u, p, out=u)   # 0/1 displacements in the uniforms' buffer
     elif isinstance(law, ProductLaw):
         pmf = offspring_pmf(law)
         sizes = np.array([k for k, _ in pmf], dtype=np.int64)

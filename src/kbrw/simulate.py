@@ -11,6 +11,10 @@ reductions over the owner index.  Every routine keeps the owners
 nondecreasing: roots are numbered in order, a brood follows its parent, and
 filters and splits keep order.  So each replicate's particles form one run,
 which a group counts by binary search once its populations are large.
+Owners are int32, counted from the group's first replicate, and positions
+float64, so a particle costs 12 bytes a generation.  A step replaces each
+column as soon as its successor exists and forms the children in the
+buffer of their displacements.
 
 A chunk of CHUNK replicates is the unit of streams: chunk c reads the
 Philox stream (seed, c), so results are bitwise reproducible regardless of
@@ -128,19 +132,20 @@ def _roots(seed: int, replicates: int):
     """
     for first, k, rngs in replicate_groups(seed, replicates, CHUNK,
                                            max(1, GROUP_BUDGET // CHUNK)):
-        yield first, k, rngs, [np.arange(k), np.zeros(k)]
+        yield first, k, rngs, [np.arange(k, dtype=np.int32), np.zeros(k)]
 
 
 def _halves(first: int, k: int, rngs: list, cols: list) -> tuple[tuple, tuple]:
     """A group split in two by chunk.  The second half's columns are copies,
     so they do not keep the whole group's arrays alive while the first half
-    runs."""
+    runs, and ``cols`` is emptied, so it does not either."""
     mid = len(rngs) // 2
     b = mid * CHUNK
     cut = int(np.searchsorted(cols[0], b))
     head = (first, b, rngs[:mid], [c[:cut] for c in cols])
     tail = (first + b, k - b, rngs[mid:],
             [cols[0][cut:] - b] + [c[cut:].copy() for c in cols[1:]])
+    cols.clear()
     return head, tail
 
 
@@ -148,40 +153,57 @@ def _run(groups, gens: int, step):
     """Advance each group ``gens`` generations and yield it, in chunk order.
 
     ``step(gen, first, k, rngs, cols)`` returns a group's columns after
-    generation ``gen``.  It empties ``cols`` as it takes them, so each old
-    array is freed as soon as the step replaces it.  A group of several
-    chunks that holds more than GROUP_BUDGET particles at the start of a
-    generation splits in two by chunk, and each half carries on from that
-    generation.
+    generation ``gen``.  It replaces the entries of ``cols`` in place, so no
+    one else holds an old array and each is freed as soon as the step
+    replaces it.  A group of several chunks that holds more than
+    GROUP_BUDGET particles at the start of a generation splits in two by
+    chunk, and each half carries on from that generation.  A yielded
+    group's columns are cleared once the next group is asked for, so the
+    caller's loop does not hold them while that group runs.
     """
-    for group in groups:
-        todo = [(0, group)]
+    for first, k, rngs, cols in groups:
+        todo = [(0, first, k, rngs, cols)]
         while todo:
-            done, (first, k, rngs, cols) = todo.pop()
+            done, first, k, rngs, cols = todo.pop()
             while done < gens:
                 if cols[0].size > GROUP_BUDGET and len(rngs) > 1:
                     (first, k, rngs, cols), tail = _halves(first, k, rngs, cols)
-                    todo.append((done, tail))
+                    todo.append((done, *tail))
                     continue
                 done += 1
                 cols = step(done, first, k, rngs, cols)
             yield first, k, rngs, cols
+            cols.clear()
 
 
-def _advance(sample, vlaw: VLaw, rngs: list, owner: np.ndarray, v: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One generation of a group: every particle at ``v`` reproduces once.
+def _advance(sample, vlaw: VLaw, rngs: list, cols: list):
+    """One generation of a group: every particle reproduces once.
 
-    Chunk i's particles draw their broods from ``rngs[i]``.  Returns the
-    children's owners and positions in brood order and the brood sizes, by
-    which callers repeat any other per-particle arrays.
+    Chunk i's particles draw their broods from ``rngs[i]``.  Replaces the
+    positions ``cols[1]`` by the children's, in brood order, and every other
+    column by its entries repeated by brood, each as soon as its
+    replacement exists.  Returns the parents' brood sizes.
     """
-    ends = np.searchsorted(owner, np.arange(CHUNK, CHUNK * len(rngs) + 1, CHUNK))
-    counts, flat = sample(ends.tolist(), rngs)
-    # in place, which saves an array; IEEE addition commutes, so the bits stay
-    children = vlaw.v_increment(flat)
-    children += np.repeat(v, counts)
-    return np.repeat(owner, counts), children, counts
+    parents = cols[0].size
+    ends = cols[0].searchsorted(np.arange(CHUNK, CHUNK * len(rngs) + 1, CHUNK,
+                                          dtype=cols[0].dtype))
+    counts, children = sample(ends.tolist(), rngs)
+    # the children are formed in the displacements' buffer; IEEE addition
+    # commutes, so the bits are those of v + v_increment(u)
+    vlaw.v_increment(children, out=children)
+    if isinstance(counts, int):
+        # k strided adds over the (parents, k) view, faster than the
+        # np.repeat below and without its child-sized copy
+        broods = children.reshape(-1, counts)
+        for j in range(counts):
+            broods[:, j] += cols[1]
+    else:
+        children += np.repeat(cols[1], counts)
+    cols[1] = children
+    for i in (0, *range(2, len(cols))):
+        cols[i] = np.repeat(cols[i], counts)
+    # a view, where the sampler gave one size for every brood
+    return np.broadcast_to(counts, parents)
 
 
 def _counts(owner: np.ndarray, k: int) -> np.ndarray:
@@ -190,20 +212,25 @@ def _counts(owner: np.ndarray, k: int) -> np.ndarray:
     search reads log2(owners) of them per replicate, so the search wins
     once there are more than SEARCH_RATIO owners per replicate."""
     if owner.size > SEARCH_RATIO * k:
-        return np.diff(owner.searchsorted(np.arange(k + 1)))
+        return np.diff(owner.searchsorted(np.arange(k + 1, dtype=owner.dtype)))
     return np.bincount(owner, minlength=k)
 
 
-def _where(mask: np.ndarray, cols: list) -> list:
-    """Each column's entries where ``mask`` holds, in order.  That is the
-    columns themselves where it holds everywhere, as it does for about a
-    third of the entries that rows reaching the escape cap filter, and else
-    one index array and one ``take`` per column, which beats ``compress``
-    and boolean indexing from about 10^4 entries up."""
+def _where(mask: np.ndarray, cols: list) -> None:
+    """Keep each column's entries where ``mask`` holds, in order, replacing
+    the columns in place, each as soon as its filtered copy exists, and
+    frees the mask once read (on Python 3.11 and later; before 3.11 the
+    caller's frame holds its argument until the call returns).  The columns
+    stay as they are where it holds everywhere, as it does for about a third
+    of the entries that rows reaching the escape cap filter, and else one
+    index array and one ``take`` per column, which beats ``compress`` and
+    boolean indexing from about 10^4 entries up."""
     if mask.all():
-        return cols
+        return
     kept = np.flatnonzero(mask)
-    return [c.take(kept) for c in cols]
+    del mask
+    for i in range(len(cols)):
+        cols[i] = cols[i].take(kept)
 
 
 def _killed(vlaw: VLaw, v_slope: float, n: int, escape_cap: float, seed: int,
@@ -220,18 +247,16 @@ def _killed(vlaw: VLaw, v_slope: float, n: int, escape_cap: float, seed: int,
     peak[:] = 1
 
     def step(gen, first, k, rngs, cols):
-        owner, v = cols
-        cols.clear()
         here = pop[first:first + k]
         capped = here >= escape_cap
         if capped.any():
-            owner, v = _where((~capped)[owner], [owner, v])
-        if v.size:
-            owner, v, _ = _advance(sample, vlaw, rngs, owner, v)
-            owner, v = _where(v <= v_slope * gen + BOUNDARY_TOL, [owner, v])
-            here[:] = _counts(owner, k)
+            _where((~capped)[cols[0]], cols)
+        if cols[0].size:
+            _advance(sample, vlaw, rngs, cols)
+            _where(cols[1] <= v_slope * gen + BOUNDARY_TOL, cols)
+            here[:] = _counts(cols[0], k)
             np.maximum(peak[first:first + k], here, out=peak[first:first + k])
-        return [owner, v]
+        return cols
 
     return _run(_roots(seed, replicates), n, step)
 
@@ -263,6 +288,10 @@ def escape_cap_sweep(vlaw: VLaw, barrier: BarrierSpec, n: int,
     across caps certifies the default cap is large enough.
     """
     caps = list(caps)
+    if n < 0:
+        raise ValueError(f"n must be at least 0, got {n}")
+    if not caps:
+        raise ValueError("caps must hold at least one escape cap")
     if not all(c >= 1 for c in caps):
         raise ValueError("escape_cap must be >= 1 (may be math.inf)")
     if replicates < 100:
@@ -270,8 +299,8 @@ def escape_cap_sweep(vlaw: VLaw, barrier: BarrierSpec, n: int,
     b = barrier.v_slope(vlaw.profile)
     alive = np.zeros(replicates, dtype=bool)
     peak = np.empty(replicates, dtype=np.int64)
-    for first, _, _, (owner, _) in _killed(vlaw, b, n, max(caps), seed, replicates, peak):
-        alive[first + owner] = True
+    for first, k, _, cols in _killed(vlaw, b, n, max(caps), seed, replicates, peak):
+        alive[first:first + k][cols[0]] = True
     out = []
     for cap in caps:
         cap_hits = int(np.count_nonzero(peak >= cap))
@@ -302,21 +331,20 @@ def estimate_M_kappa(vlaw: VLaw, j_max: int = 10, replicates: int = 800,
     running = np.zeros(replicates)
 
     def step(j, first, k, rngs, cols):
-        owner, v = cols
-        cols.clear()
         top = running[first:first + k]
-        if v.size:
-            owner, v, _ = _advance(sample, vlaw, rngs, owner, v)
-            # the guard holds per chunk, whatever the group
-            if v.size > POPULATION_GUARD and np.bincount(owner // CHUNK).max() > POPULATION_GUARD:
-                raise GridExhausted("unkilled population exceeded the guard; lower j_max")
+        if cols[0].size:
+            _advance(sample, vlaw, rngs, cols)
+        owner, v = cols
+        # the guard holds per chunk, whatever the group
+        if v.size > POPULATION_GUARD and np.bincount(owner // CHUNK).max() > POPULATION_GUARD:
+            raise GridExhausted("unkilled population exceeded the guard; lower j_max")
         # the replicates with particles, and where each one's run starts
-        bounds = owner.searchsorted(np.arange(k + 1))
+        bounds = owner.searchsorted(np.arange(k + 1, dtype=owner.dtype))
         seen = np.flatnonzero(bounds[1:] > bounds[:-1])
         top[seen] = np.maximum(top[seen], np.maximum.reduceat(v, bounds[seen]))
         prefix_max[first:first + k, j - 1] = top
         alive[first + seen, j - 1] = True
-        return [owner, v]
+        return cols
 
     for _ in _run(_roots(seed, replicates), j_max, step):
         pass
@@ -354,29 +382,28 @@ def simulate_G(vlaw: VLaw, params: GwEmbedParams, replicates: int, seed: int = 0
     sample = models.brood_sampler(vlaw.base)
 
     def step(gen, first, k, rngs, cols):
-        owner, lineage, delta = cols
-        cols.clear()
         # phase 2: each level-L survivor heads a lineage whose every vertex
         # must stay within `limit` above it; a disqualified lineage drops out
-        # with its subtree
-        if owner.size:
-            owner, delta, counts = _advance(sample, vlaw, rngs, owner, delta)
-            lineage = np.repeat(lineage, counts)
-            out_of_bounds = lineage[delta > limit + BOUNDARY_TOL]
+        # with its subtree; cols are (owner, delta, lineage)
+        if cols[0].size:
+            _advance(sample, vlaw, rngs, cols)
+            out_of_bounds = cols[2][cols[1] > limit + BOUNDARY_TOL]
             if out_of_bounds.size:
-                qualified = np.ones(int(lineage[-1]) + 1, dtype=bool)
+                qualified = np.ones(int(cols[2][-1]) + 1, dtype=bool)
                 qualified[out_of_bounds] = False
-                owner, lineage, delta = _where(qualified[lineage], [owner, lineage, delta])
-        return [owner, lineage, delta]
+                _where(qualified[cols[2]], cols)
+        return cols
 
-    # phase 2 reads each chunk's stream where phase 1 left it
-    phase1 = _killed(vlaw, phase1_slope, params.L, math.inf, seed, replicates,
-                     np.empty(replicates, dtype=np.int64))
-    heads = ((first, k, rngs, [owner, np.arange(owner.size), np.zeros(owner.size)])
-             for first, k, rngs, (owner, _) in phase1)
+    def heads():
+        # phase 2 reads each chunk's stream where phase 1 left it
+        for first, k, rngs, cols in _killed(vlaw, phase1_slope, params.L, math.inf, seed,
+                                            replicates, np.empty(replicates, dtype=np.int64)):
+            cols[1:] = [np.zeros(cols[0].size), np.arange(cols[0].size)]
+            yield first, k, rngs, cols
+
     out = np.zeros(replicates, dtype=np.int64)
-    for first, k, _, (owner, _, _) in _run(heads, params.n - params.L, step):
-        out[first:first + k] = _counts(owner, k)
+    for first, k, _, cols in _run(heads(), params.n - params.L, step):
+        out[first:first + k] = _counts(cols[0], k)
     return out
 
 

@@ -150,6 +150,8 @@ def expected_leaf_sum_exact(vlaw: VLaw, n: int, func: PathFunctional) -> float:
     intensity weights of the admitted paths to it; all of them read the same
     S_i = i psi(t*) - t* U.  Independent of the tilted-walk construction it validates.
     """
+    if n < 0:
+        raise ValueError(f"n must be at least 0, got {n}")
     u, nu, w, noise = models.child_atoms(vlaw.base)
     if noise > 0:
         raise ValueError("the exact value needs finite displacement support")
@@ -167,13 +169,14 @@ def expected_leaf_sum_exact(vlaw: VLaw, n: int, func: PathFunctional) -> float:
 def tree_many_to_one_lhs(vlaw: VLaw, n: int, func: PathFunctional,
                          replicates: int, seed: int = 0) -> tuple[float, float]:
     """MC estimate of E[sum_{|x|=n} e^{-V(x)} F(path)] by direct tree simulation."""
+    if n < 0:
+        raise ValueError(f"n must be at least 0, got {n}")
     sample = models.brood_sampler(vlaw.base)
 
     def step(i, first, k, rngs, cols):
-        owner, v, ok = cols
-        cols.clear()
-        owner, v, counts = _advance(sample, vlaw, rngs, owner, v)
-        return [owner, v, func.admit(np.repeat(ok, counts), i, v, np.repeat(counts, counts))]
+        counts = _advance(sample, vlaw, rngs, cols)
+        cols[2] = func.admit(cols[2], i, cols[1], np.repeat(counts, counts))
+        return cols
 
     roots = ((first, k, rngs, cols + [np.ones(k, dtype=bool)])
              for first, k, rngs, cols in _roots(seed, replicates))
@@ -192,6 +195,9 @@ def spine_many_to_one_rhs(sp: SpineLaw, n: int, func: PathFunctional,
     Each chunk draws its paths one level at a time, so path j of a chunk
     reads the same first n steps at every depth n.
     """
+    if n < 0:
+        raise ValueError(f"n must be at least 0, got {n}")
+
     def draw(rng, k):
         s, ok = np.zeros(k), np.ones(k, dtype=bool)
         for i in range(1, n + 1):

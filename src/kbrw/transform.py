@@ -59,9 +59,10 @@ class VLaw:
     def psi_tstar(self) -> float:
         return self.profile.psi_tstar
 
-    def v_increment(self, u):
-        """Map a displacement (or array of them) to its centered increment."""
-        return -self.t_star * u + self.psi_tstar
+    def v_increment(self, u, out=None):
+        """Map a displacement (or array of them) to its centered increment,
+        written into ``out`` if given (which may be ``u`` itself)."""
+        return np.add(np.multiply(-self.t_star, u, out=out), self.psi_tstar, out=out)
 
 
 def make_vlaw(law: OffspringLaw, profile: CriticalProfile) -> VLaw:

@@ -36,9 +36,11 @@ def sample_broods(law, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(counts, flat)`` where ``counts[i]`` is the number of children
     of brood i and ``flat`` concatenates the child displacements in brood
-    order: the one-stream case of ``brood_sampler``.
+    order: the one-stream case of ``brood_sampler``, with the one size it
+    gives when every brood has that size spread over the broods.
     """
-    return brood_sampler(law)([count], [rng])
+    counts, flat = brood_sampler(law)([count], [rng])
+    return np.broadcast_to(counts, (count,)), flat
 
 
 def gw_survival_to_n(ll, n: int) -> float:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -144,6 +145,21 @@ def test_escape_cap_sweep_reads_one_run(vlaw_p03):
     assert sweep[0].cap_hits == 500
 
 
+@pytest.mark.parametrize("caps", [(1_000,), (4, 16, math.inf)])
+def test_survival_refuses_a_negative_depth(vlaw_p03, caps):
+    # a walk asked for depth -3 read p_hat 1.0: no generation ran, so every
+    # replicate looked alive
+    with pytest.raises(ValueError, match="n must"):
+        escape_cap_sweep(vlaw_p03, BarrierSpec("V", 0.3), -3, 200, caps, seed=1)
+    with pytest.raises(ValueError, match="n must"):
+        estimate_rho(vlaw_p03, BarrierSpec("V", 0.3), -3, 200, escape_cap=caps[0], seed=1)
+
+
+def test_escape_cap_sweep_refuses_no_caps(vlaw_p03):
+    with pytest.raises(ValueError, match="at least one escape cap"):
+        escape_cap_sweep(vlaw_p03, BarrierSpec("V", 0.3), 5, 200, caps=[], seed=1)
+
+
 _FIRST_CHUNK_RUNS = {
     "estimate_rho": lambda v, reps: estimate_rho(v, BarrierSpec("V", 0.3), 10, reps, seed=3),
     "estimate_M_kappa": lambda v, reps: estimate_M_kappa(v, j_max=6, replicates=reps, seed=4),
@@ -164,12 +180,13 @@ def test_first_chunk_independent_of_replicates(monkeypatch, vlaw_p03, routine):
     monkeypatch.setattr(simulate, "GROUP_BUDGET", 10 ** 9)   # one group per run
     advance, steps, shared = simulate._advance, [], []
 
-    def recording(sample, vlaw, rngs, owner, v):
-        out = advance(sample, vlaw, rngs, owner, v)
-        parents, children = np.searchsorted(owner, chunk), np.searchsorted(out[0], chunk)
-        steps.append((out[0][:children], out[1][:children], out[2][:parents]))
+    def recording(sample, vlaw, rngs, cols):
+        owner = cols[0]
+        counts = advance(sample, vlaw, rngs, cols)
+        parents, children = np.searchsorted(owner, chunk), np.searchsorted(cols[0], chunk)
+        steps.append((cols[0][:children], cols[1][:children], counts[:parents]))
         shared.append(parents < owner.size)
-        return out
+        return counts
 
     monkeypatch.setattr(simulate, "_advance", recording)
     monkeypatch.setattr(spine, "_advance", recording)
@@ -259,13 +276,16 @@ def test_both_counts_equal_bincount(ratio, case):
 
 
 def _assert_runs(owner, k):
+    # int32, as group-relative owners are built, or a step promoted them
+    assert owner.dtype == np.int32
     assert np.all(owner[:-1] <= owner[1:])
     assert owner.size == 0 or 0 <= owner[0] <= owner[-1] < k
 
 
 def test_owners_stay_nondecreasing(monkeypatch, vlaw_p03):
     # _counts relies on it: every step, after _halves, _advance, the capped,
-    # kill and disqualified filters, leaves each replicate's particles in one run
+    # kill and disqualified filters, leaves each replicate's particles in one
+    # run, with owners that stay int32
     run, sides, splits, filtered = simulate._run, [], [], []
 
     def checked_run(groups, gens, step):
@@ -276,13 +296,24 @@ def test_owners_stay_nondecreasing(monkeypatch, vlaw_p03):
             return cols
         return run(groups, gens, checked)
 
+    def checked_where(mask, cols):
+        filtered.append(len(cols))
+        where(mask, cols)
+        assert cols[0].dtype == np.int32
+
+    def checked_halves(first, k, rngs, cols):
+        splits.append(1)
+        out = halves(first, k, rngs, cols)
+        for first, k, _, cols in out:
+            _assert_runs(cols[0], k)
+        return out
+
     counts, halves, where = simulate._counts, simulate._halves, simulate._where
     monkeypatch.setattr(simulate, "_run", checked_run)
-    monkeypatch.setattr(simulate, "_where", lambda mask, cols: filtered.append(len(cols)) or
-                        where(mask, cols))
+    monkeypatch.setattr(simulate, "_where", checked_where)
     monkeypatch.setattr(simulate, "_counts", lambda owner, k: sides.append(
         owner.size > simulate.SEARCH_RATIO * k) or counts(owner, k))
-    monkeypatch.setattr(simulate, "_halves", lambda *a: splits.append(1) or halves(*a))
+    monkeypatch.setattr(simulate, "_halves", checked_halves)
     monkeypatch.setattr(simulate, "GROUP_BUDGET", 4 * simulate.CHUNK)
     sweep = escape_cap_sweep(vlaw_p03, BarrierSpec("V", 1.0), 14, 400, (100,), seed=3)
     assert sweep[0].cap_hits > 0 and splits and set(sides) == {False, True}
@@ -291,6 +322,20 @@ def test_owners_stay_nondecreasing(monkeypatch, vlaw_p03):
     simulate_G(vlaw_p03, GwEmbedParams(n=9, eps=1.0, alpha=0.5, L=6, M=0.2), 1000, seed=6,
                strict=False)
     assert 3 in filtered   # some lineage was disqualified
+
+
+def test_cap_row_memory(vlaw_p03):
+    # the escape-cap row of the tree-mc benchmark, whose largest generation
+    # has 140,942 parents in one chunk; with int64 owners, an array of brood
+    # sizes and the parents' columns held next to the children's, the step
+    # peaked at about 14 MB, near 100 bytes per parent, twice what it holds now
+    tracemalloc.start()
+    try:
+        estimate_rho(vlaw_p03, BarrierSpec("V", 1.0), 20, 1000, escape_cap=10_000, seed=21)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 11 << 20
 
 
 def test_population_equal_to_the_cap_stops_drawing(vlaw_p03):

@@ -305,6 +305,19 @@ def test_routes_at_the_root(vlaw_p03, spine_p03):
         assert expected_leaf_sum_exact(vlaw_p03, 0, f) == 1.0
 
 
+@pytest.mark.parametrize("route", ["tree", "spine", "exact", "check"])
+def test_routes_refuse_a_negative_depth(law_p03, vlaw_p03, spine_p03, route):
+    # at n = -2 every route read 1.0, the value of the empty path, and the
+    # check reported lhs = rhs = 1.0 as passed
+    f = functional("below_line", slope=0.5)
+    run = {"tree": lambda: tree_many_to_one_lhs(vlaw_p03, -2, f, 200, seed=1),
+           "spine": lambda: spine_many_to_one_rhs(spine_p03, -2, f, 200, seed=1),
+           "exact": lambda: expected_leaf_sum_exact(vlaw_p03, -2, f),
+           "check": lambda: many_to_one_check(law_p03, vlaw_p03, spine_p03, -2, f, 200)}
+    with pytest.raises(ValueError, match="n must"):
+        run[route]()
+
+
 @pytest.mark.parametrize("law", ["law_p03", "law_gaussian"])
 def test_spine_route_is_coupled_across_depth(law, request):
     # a path reads the same first n steps at every depth, so a constraint
