@@ -219,12 +219,11 @@ def _counts(owner: np.ndarray, k: int) -> np.ndarray:
 def _where(mask: np.ndarray, cols: list) -> None:
     """Keep each column's entries where ``mask`` holds, in order, replacing
     the columns in place, each as soon as its filtered copy exists, and
-    frees the mask once read (on Python 3.11 and later; before 3.11 the
-    caller's frame holds its argument until the call returns).  The columns
-    stay as they are where it holds everywhere, as it does for about a third
-    of the entries that rows reaching the escape cap filter, and else one
-    index array and one ``take`` per column, which beats ``compress`` and
-    boolean indexing from about 10^4 entries up."""
+    frees the mask once read.  The columns stay as they are where it holds
+    everywhere, as it does for about a third of the entries that rows
+    reaching the escape cap filter, and else one index array and one
+    ``take`` per column, which beats ``compress`` and boolean indexing from
+    about 10^4 entries up."""
     if mask.all():
         return
     kept = np.flatnonzero(mask)

@@ -288,17 +288,33 @@ def test_survival_seed_flag_overrides(tmp_path):
     assert out1.read_bytes() != out2.read_bytes()
 
 
-def test_survival_non_lattice_warns_and_omits_oracle(tmp_path, capsys):
-    config = _survival_config()
-    config["law"] = {"type": "product", "offspring_pmf": [[2, 1.0]],
-                     "step": {"type": "gaussian", "mean": 0.0, "stddev": 1.0}}
-    config["slopes"], config["n"] = [0.3], [4]
+def _binary_step_law(atoms):
+    return {"type": "product", "offspring_pmf": [[2, 1.0]],
+            "step": {"type": "discrete", "atoms": atoms}}
+
+
+_GAUSSIAN_STEP = {"type": "gaussian", "mean": 0.0, "stddev": 1.0}
+
+
+@pytest.mark.parametrize("law, slopes, n", [
+    ({"type": "product", "offspring_pmf": [[2, 1.0]], "step": _GAUSSIAN_STEP}, [0.3], [4]),
+    # finite steps on no frame a + h Z: the lattice test refuses the law,
+    # where a Gaussian step is refused earlier for its noise
+    (_binary_step_law([[0, 0.5], [1, 0.3], [math.sqrt(2), 0.2]]), [0.1], [6]),
+    # broods of 1 or 3 children, so the population step repeats each
+    # parent by its own brood size
+    ({"type": "product", "offspring_pmf": [[1, 0.5], [3, 0.5]], "step": _GAUSSIAN_STEP},
+     [0.1, 0.2], [6, 10]),
+], ids=["gaussian", "root2", "gaussian-1-3"])
+def test_survival_non_lattice_warns_and_omits_oracle(tmp_path, capsys, law, slopes, n):
+    config = {**_survival_config(), "law": law, "slopes": slopes, "n": n}
     cfg = _write(tmp_path, "s6.json", config)
     out = tmp_path / "s6.csv"
     assert main(["survival", "--config", cfg, "--out", str(out)]) == EXIT_OK
-    assert "oracle rows omitted" in capsys.readouterr().err
+    assert "non-lattice law, oracle rows omitted" in capsys.readouterr().err
     rows = _read_rows(out)
     assert {r["method"] for r in rows} == {"mc"}
+    assert len(rows) == len(slopes) * len(n)
 
 
 def test_survival_half_integer_law_has_oracle_rows(tmp_path):
@@ -314,11 +330,6 @@ def test_survival_half_integer_law_has_oracle_rows(tmp_path):
         rows[name] = [r for r in _read_rows(out) if r["method"] == "oracle"]
     assert len(rows["half"]) == 1 and rows["half"] == rows["unit"]
     assert float(rows["half"][0]["estimate"]) == 0.0562155890028311
-
-
-def _binary_step_law(atoms):
-    return {"type": "product", "offspring_pmf": [[2, 1.0]],
-            "step": {"type": "discrete", "atoms": atoms}}
 
 
 @pytest.mark.filterwarnings("error")
@@ -726,18 +737,25 @@ def test_mogulskii_lattice_family_needs_atoms(tmp_path):
     assert main(["mogulskii", "--config", cfg]) == EXIT_VALIDATION
 
 
-def test_mogulskii_spine_family(tmp_path):
+@pytest.mark.parametrize("family, extra", [
+    ({"type": "spine", "condition_nu": True}, {"n_list": [300]}),
+    # the exact spine DP with its endpoint window
+    ({"type": "spine"}, {"n_list": [1000, 10000], "endpoint_b": True}),
+], ids=["condition_nu", "endpoint_b"])
+def test_mogulskii_spine_family(tmp_path, family, extra):
     config = {"seed": 3, "law": {"type": "binary_bernoulli", "p": 0.3},
               "corridor": {"g1": {"type": "affine", "intercept": -1.0},
                            "g2": {"type": "affine", "intercept": 1.0},
                            "sigma": 0.9242681859919269},
-              "family": {"type": "spine", "condition_nu": True},
-              "n_list": [300]}
+              "family": family, **extra}
     cfg = _write(tmp_path, "ms.json", config)
     out = tmp_path / "ms.csv"
     assert main(["mogulskii", "--config", cfg, "--out", str(out)]) == EXIT_OK
     rows = _read_rows(out)
-    assert 0.0 < float(rows[0]["prob"]) < 1.0
+    assert [int(r["n"]) for r in rows] == extra["n_list"]
+    for r in rows:
+        assert ("endpoint_prob" in r) == ("endpoint_b" in extra)
+        assert 0.0 < float(r.get("endpoint_prob", r["prob"])) <= float(r["prob"]) < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -1044,11 +1062,13 @@ def test_overflowing_number_is_a_bad_config(tmp_path, capsys, number):
      {"n": [4.0, 8.0]}),
     ("pemantle", {"law": {"type": "binary_bernoulli", "p": 0.3}, "eps_grid": [0.05],
                   "n_start": 64, "n_max": 1024}, {"n_start": 64.0, "n_max": 1024.0}),
-    # a Gaussian spine has no lattice frame, so its corridor is sampled
+    # a Gaussian spine has no lattice frame, so its corridor is sampled,
+    # its endpoint window too
     ("mogulskii", {**_mog_config(), "n_list": [10], "mc_replicates": 1000000,
+                   "endpoint_b": True,
                    "family": {"type": "spine"},
                    "law": {"type": "product", "offspring_pmf": [[1, 0.5], [3, 0.5]],
-                           "step": {"type": "gaussian", "mean": 0.0, "stddev": 1.0}},
+                           "step": _GAUSSIAN_STEP},
                    "corridor": {**_mog_config()["corridor"], "sigma": 1.1774100225154747}},
      {"n_list": [10.0], "mc_replicates": 1000000.0}),
 ], ids=["survival-replicates", "survival-n", "pemantle-n_start", "mogulskii-n_list"])
